@@ -9,20 +9,15 @@ package repro_test
 //     wall-clock cost of doing so. Run `go run ./cmd/benchtab` for the
 //     human-readable full-scale tables.
 //
-//   - BenchmarkFlood*: the batch-vs-callback hot-loop comparison. The
-//     flooding engine consumes snapshots through dyngraph.Batcher when a
-//     model implements it; these benchmarks run the same flood over the
-//     same model with the batch view enabled and disabled
-//     (`go test -bench=Flood`), and TestFloodBatchMatchesCallback pins
-//     down that both paths return identical Results on fixed seeds.
+//   - BenchmarkFlood* and the protocol benchmarks: the engine hot loops,
+//     one trial per iteration with a warm scratch
+//     (`go test -bench=Flood`).
 
 import (
 	"io"
-	"reflect"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/dyngraph"
 	"repro/internal/flood"
 	"repro/internal/model"
 	_ "repro/internal/model/all"
@@ -58,15 +53,7 @@ func BenchmarkExpE16(b *testing.B) { runExperiment(b, "E16") } // bursty four-st
 func BenchmarkExpE17(b *testing.B) { runExperiment(b, "E17") } // load balancing over MEGs [16, 28]
 func BenchmarkExpE18(b *testing.B) { runExperiment(b, "E18") } // flooding vs k-push vs pull (§5)
 
-// callbackOnly hides a model's Batcher/NeighborLister implementations,
-// forcing the flooding engine onto the ForEachNeighbor callback path.
-type callbackOnly struct{ d dyngraph.Dynamic }
-
-func (c callbackOnly) N() int                                { return c.d.N() }
-func (c callbackOnly) Step()                                 { c.d.Step() }
-func (c callbackOnly) ForEachNeighbor(i int, fn func(j int)) { c.d.ForEachNeighbor(i, fn) }
-
-// floodBenchSpecs are the hot-loop comparison workloads: a sparse
+// floodBenchSpecs are the flood hot-loop workloads: a sparse
 // stationary edge-MEG (the paper's core regime) and a geometric waypoint
 // model, both sized so a flood takes many snapshot scans.
 var floodBenchSpecs = map[string]model.Spec{
@@ -76,34 +63,25 @@ var floodBenchSpecs = map[string]model.Spec{
 		WithFloat("L", 45).WithFloat("r", 1).WithFloat("vmin", 1),
 }
 
-func benchFlood(b *testing.B, spec model.Spec, batch bool) {
+func benchFlood(b *testing.B, spec model.Spec) {
 	b.Helper()
 	b.ReportAllocs()
 	// One warm scratch across iterations, as a study worker would hold:
 	// remaining allocs/op is model construction, not the engine.
 	opts := flood.Opts{MaxSteps: 1 << 17, Scratch: flood.NewScratch()}
 	for i := 0; i < b.N; i++ {
-		d := model.MustBuild(spec, 1)
-		if !batch {
-			d = callbackOnly{d}
-		}
-		res := flood.Run(d, 0, opts)
+		res := flood.Run(model.MustBuild(spec, 1), 0, opts)
 		if !res.Completed {
 			b.Fatal("flood did not complete")
 		}
 	}
 }
 
-func BenchmarkFloodEdgeMEGBatch(b *testing.B)    { benchFlood(b, floodBenchSpecs["EdgeMEG"], true) }
-func BenchmarkFloodEdgeMEGCallback(b *testing.B) { benchFlood(b, floodBenchSpecs["EdgeMEG"], false) }
-func BenchmarkFloodWaypointBatch(b *testing.B)   { benchFlood(b, floodBenchSpecs["Waypoint"], true) }
-func BenchmarkFloodWaypointCallback(b *testing.B) {
-	benchFlood(b, floodBenchSpecs["Waypoint"], false)
-}
+func BenchmarkFloodEdgeMEG(b *testing.B)  { benchFlood(b, floodBenchSpecs["EdgeMEG"]) }
+func BenchmarkFloodWaypoint(b *testing.B) { benchFlood(b, floodBenchSpecs["Waypoint"]) }
 
 // BenchmarkPull / BenchmarkParsimonious / BenchmarkPushPull: the
-// protocol-engine hot loops (per-node neighbor batches via
-// dyngraph.NeighborLister) over a moderately dense stationary edge-MEG,
+// protocol-engine hot loops over a moderately dense stationary edge-MEG,
 // exercised through spec-built protocols so the registry path is what is
 // measured, exactly as production callers run it.
 var protoBenchModel = model.New("edgemeg").WithInt("n", 512).
@@ -129,30 +107,3 @@ func benchProtocol(b *testing.B, ptext string) {
 func BenchmarkPull(b *testing.B)         { benchProtocol(b, "pull") }
 func BenchmarkParsimonious(b *testing.B) { benchProtocol(b, "parsimonious:active=32") }
 func BenchmarkPushPull(b *testing.B)     { benchProtocol(b, "pushpull:k=1") }
-
-// TestFloodBatchMatchesCallback verifies the acceptance criterion of the
-// hot-loop redesign: flooding over the batch view and over the callback
-// view of the same model (same spec, same seed) returns identical Results,
-// timeline included.
-func TestFloodBatchMatchesCallback(t *testing.T) {
-	specs := []model.Spec{
-		model.New("edgemeg").WithInt("n", 256).WithFloat("p", 0.002).WithFloat("q", 0.098),
-		model.New("edgemeg").WithInt("n", 96).WithFloat("p", 0.01).WithFloat("q", 0.09).WithBool("dense", true),
-		model.New("edgemeg4").WithInt("n", 96),
-		model.New("waypoint").WithInt("n", 128).WithFloat("L", 18).WithFloat("r", 1.5),
-		model.New("direction").WithInt("n", 128).WithFloat("L", 18).WithFloat("r", 1.5),
-		model.New("walk").WithInt("n", 48).WithInt("m", 8),
-		model.New("paths").WithInt("n", 24).WithInt("m", 6),
-		model.New("static").With("topology", "torus").WithInt("m", 8),
-	}
-	opts := flood.Opts{MaxSteps: 1 << 16, KeepTimeline: true}
-	for _, spec := range specs {
-		for _, seed := range []uint64{1, 42} {
-			got := flood.Run(model.MustBuild(spec, seed), 0, opts)
-			want := flood.Run(callbackOnly{model.MustBuild(spec, seed)}, 0, opts)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v seed %d: batch result %+v != callback result %+v", spec, seed, got, want)
-			}
-		}
-	}
-}

@@ -56,6 +56,17 @@ import (
 	"repro/internal/telemetry"
 )
 
+// HTTP timeouts. Workers and clients send small JSON bodies, so reads are
+// short; writeTimeout must outlast the slowest handler, which renders the
+// report of a large campaign, and idleTimeout bounds the keep-alive
+// connections polling workers hold open between leases.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	writeTimeout      = 5 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8377", "listen address")
 	dir := flag.String("dir", "", "state directory: per-campaign sweep definitions + JSONL checkpoints; empty = in-memory only (campaigns die with the process)")
@@ -96,8 +107,12 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:    *addr,
-		Handler: campaign.NewServer(mgr, logger),
+		Addr:              *addr,
+		Handler:           campaign.NewServer(mgr, logger),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() {

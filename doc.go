@@ -5,62 +5,50 @@
 // paper instantiates it on — edge-MEGs, node-MEGs, the random waypoint and
 // random walk mobility models, and random paths over graphs.
 //
-// # Simulation API (v6)
+// # Dynamics contract
 //
-// The core abstraction is dyngraph.Dynamic — N, Step, ForEachNeighbor —
-// with four optional batch extensions that hot paths consume when a
-// model offers them:
+// Every model implements one interface, dyngraph.Dynamic: N, Step,
+// AppendEdges (the current snapshot as a flat edge batch, used only to
+// seed a consumer) and AppendDeltas (the edges born and died in the most
+// recent Step), with dyngraph.MoveReporter optional for models whose
+// churn follows node motion. The paper's object is a Markov chain over
+// snapshots E_t, and in its sparse regime only O(n) of the Θ(n) edges
+// flip per step, so the models emit exactly that churn: the edge-MEG
+// simulators from their own step logic, the mobility models from a
+// two-pass scan of the moved nodes' cell neighborhoods (O(moved × local
+// density)), node-MEGs from their state buckets, Static with no churn at
+// all, and trace Replay by diffing recorded snapshots.
 //
-//   - dyngraph.Batcher exposes the whole current snapshot as a flat
-//     []Edge batch (AppendEdges). The flooding engine scans it linearly,
-//     with no per-edge callbacks; models whose state already is
-//     edge-shaped (sparse edge-MEG alive lists, geometry cell lists,
-//     recorded traces, static graphs) produce it natively.
-//   - dyngraph.ArcBatcher is the directed counterpart (AppendArcs), for
-//     virtual graphs whose adjacency is asymmetric: dyngraph.Subsample —
-//     the §5 push-gossip reduction — enumerates each node's kept subset
-//     as arcs, and the flooding engine propagates along them one-way.
-//   - dyngraph.NeighborLister exposes one node's neighbors as a slice
-//     (AppendNeighbors), for consumers that touch few nodes per step
-//     (random walkers, pull gossip, push subsampling). The per-node
-//     protocol engines hoist the interface check out of their hot loops.
-//   - dyngraph.DeltaBatcher (v6) exposes the churn of the most recent
-//     Step as flat born/died batches (AppendDeltas) — O(n) per step in
-//     the paper's sparse regime p = c/n, versus the Θ(n) edges of the
-//     snapshot itself. The edge-MEG simulators (sparse, dense,
-//     generalized — so also the four-state chain), Static and trace
-//     Replay implement it natively from their own step logic;
-//     dyngraph.NewDeltifier adapts any other model by diffing consecutive
-//     snapshots. Consumers seed a persistent dyngraph.Adjacency from one
-//     snapshot batch and Apply the deltas, maintaining the current graph
-//     in O(churn) per step.
+// No consumer asks a model for neighbors. Every engine owns one
+// dyngraph.Adjacency — a CSR-arena neighbor store — and keeps it current
+// through a dyngraph.Tracker: seed from AppendEdges, then per step Step,
+// drain AppendDeltas, Apply, and count the churn. flood.Run (an
+// active-set engine that scans only informed nodes that may still reach
+// someone), Parsimonious, Async, RandomizedPush, Pull, PushPull,
+// dynwalk.Walker, core.Spread and balance all read it, at O(churn) per
+// step for the dynamics.
 //
-// Two engines consume the delta stream directly through a scratch-held
-// Adjacency: flood.Run runs an incremental active-set engine (scan only
-// informed nodes that may still reach someone; re-activate the informed
-// endpoints of born edges), and flood.Parsimonious reads its
-// transmitters' neighborhoods from the store. The order-sensitive
-// engines — pull, push–pull, random walks, whose random draws index into
-// neighbor lists — win model-side instead: the edge-MEG simulators keep
-// their per-node lists live incrementally in rebuild-identical order, so
-// fixed-seed trajectories are unchanged while the O(m) per-step rebuild
-// disappears. The opt-in edgemeg fastchurn parameter further replaces
-// the death sweep with geometric skipping (same law, different stream),
-// making the whole model step O(churn).
+// List order in the Adjacency is deterministic but arbitrary (removals
+// swap with the last entry). Flooding and parsimonious flooding treat
+// neighborhoods as sets and async draws its contacts order-free, so they
+// reproduce frozen reference engines byte for byte. Pull, push–pull,
+// k-push and the random walk draw a uniform index into a list that holds
+// each current neighbor once, which is a uniform neighbor whatever the
+// order: the law is the paper's, and only which neighbor a given
+// fixed-seed draw names depends on the store. Exact-law χ² tests on the
+// n = 4 edge-MEG (internal/flood/law_test.go) gate those engines.
 //
-// The v5 spreading core underneath is allocation-free once warm: informed
-// sets are word-packed bitsets (internal/bitset) and all per-run working
-// state lives in a reusable flood.Scratch threaded through flood.Opts —
-// internal/study gives each worker one for all its trials, and `benchtab
-// -json` records the resulting perf trajectory machine-readably, gated in
-// CI against the committed BENCH_<date>.json baseline (see the README's
-// Performance section).
+// The §5 reduction of randomized push to flooding on a graph subsampled
+// afresh each step is a per-step sampler over the same store:
+// dyngraph.Adjacency.Sample draws each informed node's min(k, deg)
+// distinct uniform neighbors, the push half RandomizedPush and PushPull
+// share.
 //
-// The package-level dyngraph.AppendEdges / dyngraph.AppendNeighbors fall
-// back to ForEachNeighbor adapters for models implementing neither, so
-// every consumer works with every model and merely runs faster on batch-
-// capable ones (see the BenchmarkFlood*/BenchmarkPull* benchmarks in
-// bench_test.go).
+// The spreading core is allocation-free once warm: informed sets are
+// word-packed bitsets (internal/bitset) and all per-run working state —
+// the tracked adjacency included — lives in a reusable flood.Scratch
+// threaded through flood.Opts; internal/study gives each worker one for
+// all its trials.
 //
 // Construction is spec-driven on both axes of an experiment, through two
 // registries sharing the generic internal/spec machinery (name + typed
@@ -177,26 +165,6 @@
 // perf gate widened to every mode-independent BENCH row (benchtab
 // -compare -gate-mode-independent), including the two new million-node
 // rows.
-//
-// The v10 layer brings the geometric models into the O(churn) regime the
-// edge-MEGs have enjoyed since v6. geometry.CellList became a persistent
-// incremental index — node→cell assignments with per-cell member lists
-// and swap-remove slots, so Move costs O(1) and a step that moves k
-// nodes costs O(k) maintenance instead of an O(n) rebuild — and every
-// mobility model (waypoint with a new pause parameter, direction,
-// region waypoint, grid walk, discrete waypoint) now implements
-// dyngraph.DeltaBatcher natively: a two-pass scan classifies died pairs
-// against the pre-move index and born pairs against the post-move one,
-// deduplicating both-moved pairs, so the per-step churn computation is
-// O(moved × local density) and the generic O(m log m) Deltifier diff is
-// no longer on any registered model's path. The flood engines report the
-// mover counts through the new moved_per_step telemetry gauge
-// (dyngraph.MoveReporter), warm mobility steps are allocation-free
-// (member-list slack + pinned scratch, internal/mobility/alloc_test.go),
-// and the delta/batch/Deltifier dispatch stays byte-identical per seed
-// (internal/flood/equiv_test.go, TestMobilityDispatchEquivalence). The
-// waypoint-4k delta/deltifier BENCH pair gates the speedup in CI; the
-// 64k waypoint rows pin the large-geometry warm regime.
 //
 // The library lives under internal/ (see DESIGN.md for the module map);
 // cmd/ holds the CLIs, examples/ runnable scenarios, and bench_test.go one

@@ -23,10 +23,9 @@ import (
 
 // State is a load vector being balanced over a dynamic graph.
 type State struct {
-	d    dyngraph.Dynamic
+	tr   dyngraph.Tracker
 	load []float64
 	next []float64
-	deg  []int
 }
 
 // New wraps a dynamic graph with an initial load vector (copied). It
@@ -35,12 +34,12 @@ func New(d dyngraph.Dynamic, load []float64) *State {
 	if len(load) != d.N() {
 		panic("balance: load length mismatch")
 	}
-	return &State{
-		d:    d,
+	s := &State{
 		load: append([]float64(nil), load...),
 		next: make([]float64, len(load)),
-		deg:  make([]int, len(load)),
 	}
+	s.tr.Follow(d)
+	return s
 }
 
 // PointLoad returns an n-vector with all mass `total` on node 0 — the
@@ -92,28 +91,22 @@ func (s *State) Variance() float64 {
 // Step performs one synchronous Metropolis diffusion round on the current
 // snapshot, then advances the dynamic graph.
 func (s *State) Step() {
-	n := len(s.load)
-	// Degrees of the current snapshot.
-	for i := 0; i < n; i++ {
-		deg := 0
-		s.d.ForEachNeighbor(i, func(int) { deg++ })
-		s.deg[i] = deg
-	}
+	adj := &s.tr.Adj
 	copy(s.next, s.load)
 	// Each undirected edge moves w_ij·(x_j - x_i) toward i (and the
-	// opposite toward j); iterating directed reports applies each
+	// opposite toward j); iterating both endpoints' lists applies each
 	// direction once.
-	for i := 0; i < n; i++ {
+	for i := range s.load {
 		xi := s.load[i]
-		di := s.deg[i]
-		s.d.ForEachNeighbor(i, func(j int) {
-			dj := s.deg[j]
+		di := adj.Degree(i)
+		for _, j := range adj.Neighbors(i) {
+			dj := adj.Degree(int(j))
 			w := 1.0 / (1.0 + math.Max(float64(di), float64(dj)))
 			s.next[i] += w * (s.load[j] - xi)
-		})
+		}
 	}
 	s.load, s.next = s.next, s.load
-	s.d.Step()
+	s.tr.Step()
 }
 
 // Run advances until the imbalance drops to eps or maxSteps elapse,

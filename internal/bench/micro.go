@@ -78,42 +78,13 @@ type micro struct {
 	resident func() int64
 }
 
-// memberScanOnly hides batch snapshot interfaces, forcing the flooding
-// engine onto the member-scan fallback while keeping the per-node batch
-// view — the cost profile of models without edge-shaped state.
-type memberScanOnly struct{ d dyngraph.Dynamic }
-
-func (m memberScanOnly) N() int                                { return m.d.N() }
-func (m memberScanOnly) Step()                                 { m.d.Step() }
-func (m memberScanOnly) ForEachNeighbor(i int, fn func(j int)) { m.d.ForEachNeighbor(i, fn) }
-func (m memberScanOnly) AppendNeighbors(i int, dst []int32) []int32 {
-	return dyngraph.AppendNeighbors(m.d, i, dst)
-}
-
-// batchScanOnly hides DeltaBatcher while keeping the flat batch view,
-// forcing the flooding engine onto the PR 4 full-snapshot edge scan — the
-// before side of the delta-vs-batch rows.
-type batchScanOnly struct{ d dyngraph.Dynamic }
-
-func (m batchScanOnly) N() int                                { return m.d.N() }
-func (m batchScanOnly) Step()                                 { m.d.Step() }
-func (m batchScanOnly) ForEachNeighbor(i int, fn func(j int)) { m.d.ForEachNeighbor(i, fn) }
-func (m batchScanOnly) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
-	return dyngraph.AppendEdges(m.d, dst)
-}
-
 // floodMicro measures one flood trial per iteration: model built fresh
-// (trials never reuse model state), scratch warm across iterations. A
-// non-nil wrap narrows the model's interface surface to steer engine
-// dispatch.
-func floodMicro(cfg Config, spec model.Spec, wrap func(dyngraph.Dynamic) dyngraph.Dynamic) func(b *testing.B) {
+// (trials never reuse model state), scratch warm across iterations.
+func floodMicro(cfg Config, spec model.Spec) func(b *testing.B) {
 	return func(b *testing.B) {
 		opts := flood.Opts{MaxSteps: 1 << 17, Scratch: flood.NewScratch()}
 		for i := 0; i < b.N; i++ {
 			d := model.MustBuild(spec, cfg.Seed)
-			if wrap != nil {
-				d = wrap(d)
-			}
 			if res := flood.Run(d, 0, opts); !res.Completed {
 				b.Fatal("flood did not complete")
 			}
@@ -121,10 +92,8 @@ func floodMicro(cfg Config, spec model.Spec, wrap func(dyngraph.Dynamic) dyngrap
 	}
 }
 
-// walkMicro measures a fixed-length random walk ON the model — the
-// workload whose per-step cost used to be dominated by the O(m) adjacency
-// rebuild that the walker's single neighbor read forced every step, and
-// that the live incremental adjacency reduces to O(churn).
+// walkMicro measures a fixed-length random walk ON the model: the
+// walker's tracked adjacency costs O(churn) per step.
 func walkMicro(cfg Config, spec model.Spec, steps int) func(b *testing.B) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -159,25 +128,19 @@ func protoMicro(cfg Config, mspec model.Spec, ptext string) func(b *testing.B) {
 // workloads (sparse edge-MEG ≈ stationary degree 2, waypoint, and a denser
 // edge-MEG ≈ degree 20 for the per-node protocols), reduced under -quick.
 //
-// The delta-vs-edge-scan pairs are the headline numbers of the
-// incremental-dynamics refactor: same model, same seed, same trajectory
-// (engine choice consumes no randomness) — one row consumes the per-step
-// churn (O(churn + frontier) engine work), the other rescans the full
-// snapshot (O(m) with a rank decode per alive edge per step). They run in
-// the paper's sparse stationary regime with long-lived edges (p = c/n,
-// q = 0.01, expected degree ≈ 2 — churn ≈ 2% of edges per step) on the
-// fastchurn simulator, so the whole step is O(churn) and the engine
-// difference is what the pair measures. The n = 65536 pair is a scale at
-// which the batch engine made benching impractical.
+// The sparse-4k and sparse-64k rows run the paper's sparse stationary
+// regime with long-lived edges (p = c/n, q = 0.01, expected degree ≈ 2 —
+// churn ≈ 2% of edges per step) on the stream=v2 samplers, so the model
+// step and the engine step are both O(churn).
 func micros(cfg Config) []micro {
 	sparse := model.New("edgemeg").WithInt("n", 2048).
 		WithFloat("p", 0.0001).WithFloat("q", 0.0999)
 	sparse4k := model.New("edgemeg").WithInt("n", 4096).
-		WithFloat("p", 0.0000049).WithFloat("q", 0.01).WithBool("fastchurn", true)
+		WithFloat("p", 0.0000049).WithFloat("q", 0.01).With("stream", "v2")
 	sparse64k := model.New("edgemeg").WithInt("n", 65536).
-		WithFloat("p", 0.0000003).WithFloat("q", 0.01).WithBool("fastchurn", true)
+		WithFloat("p", 0.0000003).WithFloat("q", 0.01).With("stream", "v2")
 	walkSpec := model.New("edgemeg").WithInt("n", 2048).
-		WithFloat("p", 0.0000098).WithFloat("q", 0.01).WithBool("fastchurn", true)
+		WithFloat("p", 0.0000098).WithFloat("q", 0.01).With("stream", "v2")
 	waypoint := model.New("waypoint").WithInt("n", 512).
 		WithFloat("L", 45).WithFloat("r", 1).WithFloat("vmin", 1)
 	dense := model.New("edgemeg").WithInt("n", 512).
@@ -187,46 +150,32 @@ func micros(cfg Config) []micro {
 		sparse = model.New("edgemeg").WithInt("n", 512).
 			WithFloat("p", 0.0004).WithFloat("q", 0.0996)
 		sparse4k = model.New("edgemeg").WithInt("n", 1024).
-			WithFloat("p", 0.0000196).WithFloat("q", 0.01).WithBool("fastchurn", true)
+			WithFloat("p", 0.0000196).WithFloat("q", 0.01).With("stream", "v2")
 		sparse64k = model.New("edgemeg").WithInt("n", 8192).
-			WithFloat("p", 0.0000024).WithFloat("q", 0.01).WithBool("fastchurn", true)
+			WithFloat("p", 0.0000024).WithFloat("q", 0.01).With("stream", "v2")
 		waypoint = model.New("waypoint").WithInt("n", 128).
 			WithFloat("L", 18).WithFloat("r", 1.5).WithFloat("vmin", 1)
 		dense = model.New("edgemeg").WithInt("n", 128).
 			WithFloat("p", 0.016).WithFloat("q", 0.084)
 		walkSteps = 1 << 11
 	}
-	forceBatch := func(d dyngraph.Dynamic) dyngraph.Dynamic { return batchScanOnly{d} }
-	forceMember := func(d dyngraph.Dynamic) dyngraph.Dynamic { return memberScanOnly{d} }
-	// forceDeltify reproduces the pre-incremental mobility pipeline: the
-	// generic snapshot-diff adapter (full AppendEdges + sort + diff every
-	// step) feeding the same delta engine the native AppendDeltas now feeds
-	// directly. The waypoint-4k delta/deltifier pair is the headline
-	// before/after of the O(churn) mobility work.
-	forceDeltify := func(d dyngraph.Dynamic) dyngraph.Dynamic { return dyngraph.NewDeltifier(d) }
-	// Not reduced under -quick: the pair is the cross-mode CI gate's
+	// Not reduced under -quick: the row is the cross-mode CI gate's
 	// mobility coverage, so both modes must run the identical workload.
 	// Pause-heavy (fast trips, long rests): a modest fraction of the nodes
-	// move on any step, so the native path's O(moved × density) churn scan
-	// is far below the adapter's unconditional O(m log m) snapshot diff —
-	// the regime the incremental work targets (sensor fields, parked
-	// vehicles, duty-cycled radios all rest most of the time).
+	// move on any step, so the O(moved × density) churn scan is far below
+	// an O(m) snapshot rescan — the regime the incremental work targets
+	// (sensor fields, parked vehicles, duty-cycled radios all rest most of
+	// the time).
 	waypoint4k := model.New("waypoint").WithInt("n", 4096).
 		WithFloat("L", 64).WithFloat("r", 1).WithFloat("vmin", 8).
 		WithFloat("vmax", 8).WithInt("pause", 32)
 	megamicros := millionNodeMicros(cfg)
 	rows := []micro{
-		{name: "flood/edgemeg-sparse/delta-scan", run: floodMicro(cfg, sparse, nil)},
-		{name: "flood/edgemeg-sparse/edge-scan", run: floodMicro(cfg, sparse, forceBatch)},
-		{name: "flood/edgemeg-sparse/member-scan", run: floodMicro(cfg, sparse, forceMember)},
-		{name: "flood/edgemeg-sparse-4k/delta-scan", run: floodMicro(cfg, sparse4k, nil)},
-		{name: "flood/edgemeg-sparse-4k/edge-scan", run: floodMicro(cfg, sparse4k, forceBatch)},
-		{name: "flood/edgemeg-sparse-64k/delta-scan", run: floodMicro(cfg, sparse64k, nil)},
-		{name: "flood/edgemeg-sparse-64k/edge-scan", run: floodMicro(cfg, sparse64k, forceBatch)},
-		{name: "flood/waypoint/delta-scan", run: floodMicro(cfg, waypoint, nil)},
-		{name: "flood/waypoint/edge-scan", run: floodMicro(cfg, waypoint, forceBatch)},
-		{name: "flood/waypoint-4k/delta", modeIndependent: true, run: floodMicro(cfg, waypoint4k, nil)},
-		{name: "flood/waypoint-4k/deltifier", modeIndependent: true, run: floodMicro(cfg, waypoint4k, forceDeltify)},
+		{name: "flood/edgemeg-sparse/delta-scan", run: floodMicro(cfg, sparse)},
+		{name: "flood/edgemeg-sparse-4k/delta-scan", run: floodMicro(cfg, sparse4k)},
+		{name: "flood/edgemeg-sparse-64k/delta-scan", run: floodMicro(cfg, sparse64k)},
+		{name: "flood/waypoint/delta-scan", run: floodMicro(cfg, waypoint)},
+		{name: "flood/waypoint-4k/delta", modeIndependent: true, run: floodMicro(cfg, waypoint4k)},
 		{name: "flood/static-torus/engine-only", modeIndependent: true, run: func(b *testing.B) {
 			// Pure engine cost: the static model is stateless across runs,
 			// so nothing but the spreading core is measured (since the

@@ -252,6 +252,49 @@ func TestWorkerGracefulRelease(t *testing.T) {
 	}
 }
 
+// TestWorkerCompletesAcrossCancel: a shutdown that lands while the
+// worker's /complete request is in flight must not turn an acknowledged
+// cell into a failure. The handler cancels the worker's context before the
+// server records and acks the cell; Work must still report (1, nil).
+func TestWorkerCompletesAcrossCancel(t *testing.T) {
+	mgr, err := campaign.NewManager(campaign.Options{LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inner := campaign.NewServer(mgr, nil)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/complete" {
+			cancel()
+			// Give a cancellation-following client time to abandon the
+			// request, then record and ack the cell regardless.
+			select {
+			case <-r.Context().Done():
+			case <-time.After(200 * time.Millisecond):
+			}
+			r = r.WithContext(context.Background())
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	cl := &campaign.Client{Base: srv.URL}
+	sw := farmSweep()
+	sw.Models, sw.Protocols = sw.Models[:1], sw.Protocols[:1]
+	id, _, err := cl.Submit(context.Background(), sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed, err := campaign.Work(ctx, cl, campaign.WorkerOpts{Name: "w", Workers: 1})
+	if completed != 1 || err != nil {
+		t.Fatalf("Work = (%d, %v), want (1, nil)", completed, err)
+	}
+	if p, _ := mgr.Progress(id); p.Done != 1 || !p.Complete {
+		t.Fatalf("server progress after an acknowledged completion: %+v", p)
+	}
+}
+
 // TestServerRejects covers the HTTP error surface.
 func TestServerRejects(t *testing.T) {
 	srv, _ := startServer(t, "", time.Minute)

@@ -134,16 +134,14 @@ func Work(ctx context.Context, cl *Client, opts WorkerOpts) (completed int, err 
 			_ = cl.Release(ctx, l.Campaign, l.Token)
 			return completed, fmt.Errorf("campaign: running cell %s: %w", l.Cell.Key(), err)
 		}
-		// Completion must survive a mid-shutdown signal: the result is
-		// computed, so push it even when ctx is already cancelled (with a
-		// bounded context so a dead server can't hang shutdown).
-		compCtx := ctx
-		if ctx.Err() != nil {
-			var cancel context.CancelFunc
-			compCtx, cancel = context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-		}
+		// Completion must survive a shutdown signal, whether it lands
+		// before the post or while it is in flight: the result is computed
+		// and the server may already have recorded it, so the post never
+		// inherits ctx's cancellation — only a bound, so a dead server
+		// can't hang shutdown.
+		compCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
 		duplicate, err := cl.Complete(compCtx, l.Campaign, l.Token, rec)
+		cancel()
 		if err != nil {
 			return completed, fmt.Errorf("campaign: completing cell %s: %w", l.Cell.Key(), err)
 		}

@@ -25,21 +25,23 @@ func Spread(d dyngraph.Dynamic, a []int, t int) int {
 		}
 		inA[v] = true
 	}
+	var tr dyngraph.Tracker
+	tr.Follow(d)
 	reached := make([]bool, n)
 	count := 0
 	observe := func() {
 		for _, v := range a {
-			d.ForEachNeighbor(v, func(j int) {
+			for _, j := range tr.Adj.Neighbors(v) {
 				if !inA[j] && !reached[j] {
 					reached[j] = true
 					count++
 				}
-			})
+			}
 		}
 	}
 	observe()
 	for step := 0; step < t; step++ {
-		d.Step()
+		tr.Step()
 		observe()
 	}
 	return count
@@ -54,6 +56,8 @@ func SpreadUntilDoubled(d dyngraph.Dynamic, a []int, maxSteps int) int {
 	for _, v := range a {
 		inA[v] = true
 	}
+	var tr dyngraph.Tracker
+	tr.Follow(d)
 	reached := make([]bool, n)
 	count := 0
 	target := len(a)
@@ -62,12 +66,12 @@ func SpreadUntilDoubled(d dyngraph.Dynamic, a []int, maxSteps int) int {
 	}
 	observe := func() {
 		for _, v := range a {
-			d.ForEachNeighbor(v, func(j int) {
+			for _, j := range tr.Adj.Neighbors(v) {
 				if !inA[j] && !reached[j] {
 					reached[j] = true
 					count++
 				}
-			})
+			}
 		}
 	}
 	observe()
@@ -75,7 +79,7 @@ func SpreadUntilDoubled(d dyngraph.Dynamic, a []int, maxSteps int) int {
 		if count >= target {
 			return step
 		}
-		d.Step()
+		tr.Step()
 		observe()
 	}
 	return -1

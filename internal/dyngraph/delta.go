@@ -1,19 +1,23 @@
 package dyngraph
 
-import "slices"
+import (
+	"slices"
 
-// DeltaBatcher is the incremental sibling of Batcher: an optional extension
-// of Dynamic exposing the edge churn of the most recent Step as two flat
-// batches instead of forcing consumers to rescan the whole snapshot. In the
-// sparse regimes the paper cares about (p = c/n, stationary degree O(1))
-// the expected churn p·(missing) + q·(present) is O(n) per step while the
-// snapshot itself has Θ(n) edges that mostly do not change — and the
-// edge-MEG Markov steps already know exactly which pairs flipped, so the
-// deltas come out of the simulator for free.
+	"repro/internal/rng"
+)
+
+// DeltaBatcher is the incremental half of Dynamic: the edge churn of the
+// most recent Step as two flat batches, so consumers never rescan the whole
+// snapshot. In the sparse regimes the paper cares about (p = c/n,
+// stationary degree O(1)) the expected churn p·(missing) + q·(present) is
+// O(n) per step while the snapshot itself has Θ(n) edges that mostly do not
+// change — and the edge-MEG Markov steps already know exactly which pairs
+// flipped, so the deltas come out of the simulator for free.
 //
 // Consumers seed their view from a full snapshot (AppendEdges) once, then
 // after every Step apply the deltas to a persistent Adjacency, maintaining
-// the current graph in O(churn) per step instead of O(m).
+// the current graph in O(churn) per step instead of O(m); Tracker does
+// exactly that.
 type DeltaBatcher interface {
 	// AppendDeltas appends the edges born (absent before the most recent
 	// Step, present after) to born and the edges that died (present before,
@@ -36,13 +40,13 @@ type MoveReporter interface {
 	MovedLastStep() int
 }
 
-// Adjacency is a persistent neighbor store that consumers of DeltaBatcher
-// maintain across steps: per-node neighbor lists over a fixed universe,
-// built once from a snapshot batch and then updated in place from delta
-// batches — O(degree) per changed edge, so a step costs O(churn) instead
-// of the O(m) full rebuild a snapshot view pays. Reset reuses all backing
-// arrays, which is what lets flood.Scratch amortize the store across the
-// trials of a sweep.
+// Adjacency is the persistent neighbor store every engine reads: the only
+// place a consumer looks up a node's current neighbors. It holds per-node
+// neighbor lists over a fixed universe, built once from a snapshot batch
+// and then updated in place from delta batches — O(degree) per changed
+// edge, so a step costs O(churn) instead of an O(m) rebuild. Reset reuses
+// all backing arrays, which is what lets flood.Scratch amortize the store
+// across the trials of a sweep.
 //
 // The store is a CSR-style arena: every node's list lives in one shared
 // []int32 backing array, addressed by a 12-byte {offset, length,
@@ -56,17 +60,21 @@ type MoveReporter interface {
 // more than the arena once per doubling.
 //
 // Neighbor order within a list is unspecified (removals swap with the
-// last entry), so Adjacency serves order-insensitive consumers — the
-// flooding and parsimonious engines, which treat neighborhoods as sets.
-// Engines whose random draws index into neighbor lists (pull, push–pull,
-// random walks) must keep reading the model's own neighbor view, whose
-// order is pinned by the fixed-seed equivalence tests.
+// last entry) but deterministic: it is a function of the seeding batch and
+// the delta stream. Engines whose random draws index into a list (pull,
+// push–pull, k-push, random walks) therefore still sample exactly the law
+// they claim — a uniform index into a list holding each current neighbor
+// once is a uniform neighbor, whatever the order — and replay exactly per
+// seed. Only which neighbor a given draw names depends on the order, so
+// the fixed-seed trajectories are pinned to this store, and the exact-law
+// tests, not byte pins, check that the process is the paper's.
 type Adjacency struct {
 	segs  []segment
 	arena []int32
 	spare []int32 // compaction target, swapped with arena; len 0 between uses
 	holes int     // arena slots abandoned by relocated segments
 	n     int
+	idx   []int // Sample's index buffer
 }
 
 // segment is one node's list header: arena[off:off+len] is the list,
@@ -102,10 +110,10 @@ func (a *Adjacency) Reset(n int) {
 func (a *Adjacency) N() int { return a.n }
 
 // Bytes returns the heap bytes retained by the store: the segment
-// headers plus both arena buffers. Unlike the per-node-slice store this
+// headers, both arena buffers and the sampling buffer. Unlike the per-node-slice store this
 // replaces, the accounting is O(1) — three capacities, no walk.
 func (a *Adjacency) Bytes() int64 {
-	return int64(cap(a.segs))*12 + int64(cap(a.arena))*4 + int64(cap(a.spare))*4
+	return int64(cap(a.segs))*12 + int64(cap(a.arena))*4 + int64(cap(a.spare))*4 + int64(cap(a.idx))*8
 }
 
 // Degree returns the current degree of node i.
@@ -117,6 +125,26 @@ func (a *Adjacency) Degree(i int) int { return int(a.segs[i].len) }
 func (a *Adjacency) Neighbors(i int) []int32 {
 	s := a.segs[i]
 	return a.arena[s.off : s.off+s.len : s.off+s.cap]
+}
+
+// Sample appends min(k, Degree(i)) distinct neighbors of node i, drawn
+// uniformly from r, to dst — one node's share of the paper's §5 virtual
+// graph, which keeps a fresh random subset of every node's edges each
+// step. A node with at most k neighbors keeps them all and draws nothing.
+// It panics if k <= 0.
+func (a *Adjacency) Sample(i, k int, r *rng.RNG, dst []int32) []int32 {
+	if k <= 0 {
+		panic("dyngraph: Adjacency.Sample needs k > 0")
+	}
+	nbrs := a.Neighbors(i)
+	if len(nbrs) <= k {
+		return append(dst, nbrs...)
+	}
+	a.idx = r.SampleDistinctInto(len(nbrs), k, a.idx[:0])
+	for _, x := range a.idx {
+		dst = append(dst, nbrs[x])
+	}
+	return dst
 }
 
 // AddEdge inserts the undirected edge {u, v}, which must not be present.
@@ -278,74 +306,64 @@ func diffSortedEdges(prev, cur, born, died []Edge) (b, d []Edge) {
 	return born, died
 }
 
-// Deltifier adapts any Dynamic into a DeltaBatcher by diffing consecutive
-// snapshot batches — the generic fallback for models whose step logic does
-// not know its own churn (mobility models, whose edges follow node motion,
-// and recorded traces replayed without delta support). The diff sorts and
-// merges two full snapshots, so Step costs O(m log m): the adapter buys
-// the delta API and O(churn) downstream consumption, not a cheaper model
-// step. Models with edge-shaped state should implement DeltaBatcher
-// natively instead.
-//
-// The wrapper owns the clock: callers must Step the Deltifier, never the
-// wrapped model directly. Snapshot reads (ForEachNeighbor, batch and
-// per-node views) are forwarded unchanged.
-type Deltifier struct {
-	d          Dynamic
-	prev, cur  []Edge // (U, V)-sorted snapshots before and after the last Step
-	stepped    bool
-	downstream NeighborLister // d's native per-node view, if any
-}
-
-// NewDeltifier wraps d, capturing its current snapshot as the base the
-// first Step's deltas are computed against.
-func NewDeltifier(d Dynamic) *Deltifier {
-	df := &Deltifier{d: d}
-	df.downstream, _ = d.(NeighborLister)
-	df.cur = sortEdges(AppendEdges(d, df.cur[:0]))
-	return df
-}
-
 func sortEdges(edges []Edge) []Edge {
 	slices.SortFunc(edges, compareEdges)
 	return edges
 }
 
-// N implements Dynamic.
-func (df *Deltifier) N() int { return df.d.N() }
+// Tracker keeps an Adjacency equal to a Dynamic's current snapshot: it
+// seeds the store from one AppendEdges batch, then on every Step advances
+// the model, drains its deltas and applies them. It is the one copy of
+// that lifecycle; every engine steps its model through a Tracker and reads
+// neighbors from Adj. The churn counters accumulate across every model a
+// Tracker follows, so a Tracker reused across trials (flood.Scratch) totals
+// a whole sweep's churn for telemetry.
+type Tracker struct {
+	// Adj is the current snapshot. Callers read it and must not modify it.
+	Adj Adjacency
+	// Born and Died hold the churn of the most recent Step, valid until the
+	// next Step or Follow.
+	Born, Died []Edge
+	d          Dynamic
+	mr         MoveReporter // d's motion count, nil if it reports none
+	seed       []Edge
 
-// Step implements Dynamic: the wrapped model advances, and the sorted
-// snapshots before and after are retained for AppendDeltas.
-func (df *Deltifier) Step() {
-	df.d.Step()
-	df.prev, df.cur = df.cur, df.prev[:0]
-	df.cur = sortEdges(AppendEdges(df.d, df.cur))
-	df.stepped = true
+	bornTotal, diedTotal, movedTotal, steps int64
 }
 
-// ForEachNeighbor implements Dynamic.
-func (df *Deltifier) ForEachNeighbor(i int, fn func(j int)) {
-	df.d.ForEachNeighbor(i, fn)
+// Follow points the tracker at d and seeds Adj with d's current snapshot,
+// reusing every buffer.
+func (tr *Tracker) Follow(d Dynamic) {
+	tr.d = d
+	tr.mr, _ = d.(MoveReporter)
+	tr.seed = d.AppendEdges(tr.seed[:0])
+	tr.Adj.Reset(d.N())
+	tr.Adj.AddEdges(tr.seed)
+	tr.Born, tr.Died = tr.Born[:0], tr.Died[:0]
 }
 
-// AppendEdges implements Batcher, serving the retained sorted snapshot.
-func (df *Deltifier) AppendEdges(dst []Edge) []Edge {
-	return append(dst, df.cur...)
-}
-
-// AppendNeighbors implements NeighborLister, forwarding to the wrapped
-// model's native view when it has one.
-func (df *Deltifier) AppendNeighbors(i int, dst []int32) []int32 {
-	if df.downstream != nil {
-		return df.downstream.AppendNeighbors(i, dst)
+// Step advances the followed model one step and brings Adj up to date.
+func (tr *Tracker) Step() {
+	tr.d.Step()
+	tr.Born, tr.Died = tr.d.AppendDeltas(tr.Born[:0], tr.Died[:0])
+	tr.Adj.Apply(tr.Born, tr.Died)
+	tr.bornTotal += int64(len(tr.Born))
+	tr.diedTotal += int64(len(tr.Died))
+	if tr.mr != nil {
+		tr.movedTotal += int64(tr.mr.MovedLastStep())
 	}
-	return AppendNeighbors(df.d, i, dst)
+	tr.steps++
 }
 
-// AppendDeltas implements DeltaBatcher by merging the retained snapshots.
-func (df *Deltifier) AppendDeltas(born, died []Edge) (b, d []Edge) {
-	if !df.stepped {
-		return born, died
-	}
-	return diffSortedEdges(df.prev, df.cur, born, died)
+// Totals returns the churn streamed through the tracker since its
+// creation: edges born, edges died, nodes moved (0 unless the model is a
+// MoveReporter), and model steps.
+func (tr *Tracker) Totals() (born, died, moved, steps int64) {
+	return tr.bornTotal, tr.diedTotal, tr.movedTotal, tr.steps
+}
+
+// Bytes returns the heap bytes retained by the store and the batch
+// buffers.
+func (tr *Tracker) Bytes() int64 {
+	return tr.Adj.Bytes() + 8*int64(cap(tr.Born)+cap(tr.Died)+cap(tr.seed))
 }

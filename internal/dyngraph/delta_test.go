@@ -19,24 +19,57 @@ func sortedEdgeSet(edges []Edge) []Edge {
 	return out
 }
 
+// snapshotter is a toy graph that can report only its current snapshot.
+type snapshotter interface {
+	N() int
+	Step()
+	AppendEdges(dst []Edge) []Edge
+}
+
+// Deltifier adapts a snapshotter into a Dynamic by diffing consecutive
+// sorted snapshots — O(m log m) per step. Tests use it as the oracle for
+// native delta streams and to run toy graphs; the wrapper owns the clock.
+type Deltifier struct {
+	s         snapshotter
+	prev, cur []Edge
+	stepped   bool
+}
+
+func NewDeltifier(s snapshotter) *Deltifier {
+	return &Deltifier{s: s, cur: sortEdges(s.AppendEdges(nil))}
+}
+
+func (df *Deltifier) N() int { return df.s.N() }
+
+func (df *Deltifier) Step() {
+	df.s.Step()
+	df.prev, df.cur = df.cur, sortEdges(df.s.AppendEdges(df.prev[:0]))
+	df.stepped = true
+}
+
+func (df *Deltifier) AppendEdges(dst []Edge) []Edge { return append(dst, df.cur...) }
+
+func (df *Deltifier) AppendDeltas(born, died []Edge) (b, d []Edge) {
+	if !df.stepped {
+		return born, died
+	}
+	return diffSortedEdges(df.prev, df.cur, born, died)
+}
+
 // checkDeltasTrackSnapshots steps d, applying its deltas to an Adjacency
 // seeded from the initial snapshot, and fails if the maintained store
 // ever diverges from a fresh snapshot batch.
 func checkDeltasTrackSnapshots(t *testing.T, d Dynamic, steps int) {
 	t.Helper()
-	db, ok := d.(DeltaBatcher)
-	if !ok {
-		t.Fatal("model does not implement DeltaBatcher")
-	}
 	var adj Adjacency
 	adj.Reset(d.N())
-	adj.AddEdges(AppendEdges(d, nil))
-	prev := sortedEdgeSet(AppendEdges(d, nil))
+	adj.AddEdges(d.AppendEdges(nil))
+	prev := sortedEdgeSet(d.AppendEdges(nil))
 	for s := 1; s <= steps; s++ {
 		d.Step()
-		born, died := db.AppendDeltas(nil, nil)
+		born, died := d.AppendDeltas(nil, nil)
 		adj.Apply(born, died)
-		cur := sortedEdgeSet(AppendEdges(d, nil))
+		cur := sortedEdgeSet(d.AppendEdges(nil))
 		if got := sortedEdgeSet(adj.AppendEdges(nil)); !reflect.DeepEqual(got, cur) {
 			t.Fatalf("step %d: delta-maintained store %v != snapshot %v (deltas +%v -%v)",
 				s, got, cur, born, died)
@@ -71,7 +104,7 @@ func symmetricDiff(a, b []Edge) []Edge {
 // trace freezes at its end.
 func TestReplayAppendDeltas(t *testing.T) {
 	src := &flicker{g: graph.Cycle(6), on: true}
-	tr := Capture(src, 3) // snapshots: on, off, on, off
+	tr := Capture(NewDeltifier(src), 3) // snapshots: on, off, on, off
 	r := tr.Replay()
 	if born, died := r.AppendDeltas(nil, nil); len(born)+len(died) != 0 {
 		t.Fatalf("deltas before the first Step: +%v -%v", born, died)
@@ -95,7 +128,7 @@ func TestStaticAppendDeltas(t *testing.T) {
 	checkDeltasTrackSnapshots(t, s, 3)
 }
 
-// TestDeltifierOnFlicker drives the generic diff adapter over the
+// TestDeltifierOnFlicker drives the test-side diff adapter over the
 // worst-case dynamic — every edge flips every step — and over a no-op.
 func TestDeltifierOnFlicker(t *testing.T) {
 	checkDeltasTrackSnapshots(t, NewDeltifier(&flicker{g: graph.Cycle(6), on: true}), 7)

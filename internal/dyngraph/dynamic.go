@@ -1,16 +1,17 @@
-// Package dyngraph defines the discrete-time dynamic graph abstraction that
+// Package dyngraph defines the discrete-time dynamic graph contract that
 // every model in this repository implements (edge-MEGs, node-MEGs, mobility
-// models, random-path models) and that the flooding engine consumes. It also
-// provides snapshot adapters, trace recording and replay, and the virtual
-// subsampled graph used to reduce randomized gossip to flooding (Section 5
-// of the paper).
+// models, random-path models) and that every spreading engine consumes,
+// plus the engine-owned neighbor store (Adjacency, kept current by a
+// Tracker), trace recording and replay.
 package dyngraph
 
 import "repro/internal/graph"
 
 // Dynamic is a discrete-time dynamic graph G([n], {E_t}) on the vertex set
-// {0, ..., n-1}. At any moment the object exposes the current snapshot E_t;
-// Step advances the process to E_{t+1}.
+// {0, ..., n-1}: the one contract between models and engines. A model
+// exposes its current snapshot E_t once, as a flat edge batch, and from
+// then on only the churn of each Step; consumers never query a model's
+// neighbors. They keep their own Adjacency current through a Tracker.
 //
 // Implementations are deterministic given their seed, and are not safe for
 // concurrent use: parallel experiments construct one instance per worker.
@@ -19,10 +20,17 @@ type Dynamic interface {
 	N() int
 	// Step advances the process one time unit.
 	Step()
-	// ForEachNeighbor calls fn for every node j adjacent to i in the
-	// current snapshot. Order is unspecified; fn must not mutate the graph.
-	ForEachNeighbor(i int, fn func(j int))
+	// AppendEdges appends every edge of the current snapshot to dst exactly
+	// once, normalized to U < V, in an unspecified but deterministic order,
+	// and returns the extended slice. Engines call it only to seed their
+	// adjacency; implementations must not retain dst.
+	AppendEdges(dst []Edge) []Edge
+	DeltaBatcher
 }
+
+// AppendEdges appends the current snapshot's edges of d to dst: shorthand
+// for d.AppendEdges(dst).
+func AppendEdges(d Dynamic, dst []Edge) []Edge { return d.AppendEdges(dst) }
 
 // Static adapts a fixed graph.Graph as a Dynamic whose snapshot never
 // changes. It is the degenerate baseline in experiments (a dynamic graph
@@ -40,12 +48,7 @@ func (s *Static) N() int { return s.g.N() }
 // Step implements Dynamic; the snapshot is constant.
 func (s *Static) Step() {}
 
-// ForEachNeighbor implements Dynamic.
-func (s *Static) ForEachNeighbor(i int, fn func(j int)) {
-	s.g.ForEachNeighbor(i, fn)
-}
-
-// AppendEdges implements Batcher.
+// AppendEdges implements Dynamic.
 func (s *Static) AppendEdges(dst []Edge) []Edge {
 	n := s.g.N()
 	for i := 0; i < n; i++ {
@@ -58,14 +61,8 @@ func (s *Static) AppendEdges(dst []Edge) []Edge {
 	return dst
 }
 
-// AppendNeighbors implements NeighborLister.
-func (s *Static) AppendNeighbors(i int, dst []int32) []int32 {
-	return append(dst, s.g.Neighbors(i)...)
-}
-
 // AppendDeltas implements DeltaBatcher: a static snapshot never churns, so
-// delta consumers pay exactly nothing per step — the degenerate best case
-// of the incremental dynamics API.
+// delta consumers pay exactly nothing per step.
 func (s *Static) AppendDeltas(born, died []Edge) (b, d []Edge) {
 	return born, died
 }
@@ -77,23 +74,14 @@ func (s *Static) Graph() *graph.Graph { return s.g }
 // costs O(n + m) and is used by observers and stationarity estimators.
 func Snapshot(d Dynamic) *graph.Graph {
 	b := graph.NewBuilder(d.N())
-	for _, e := range AppendEdges(d, nil) {
+	for _, e := range d.AppendEdges(nil) {
 		b.AddEdge(int(e.U), int(e.V))
 	}
 	return b.Build()
 }
 
 // EdgeCount returns the number of edges in the current snapshot.
-func EdgeCount(d Dynamic) int {
-	if b, ok := d.(Batcher); ok {
-		return len(b.AppendEdges(nil))
-	}
-	total := 0
-	for i := 0; i < d.N(); i++ {
-		d.ForEachNeighbor(i, func(j int) { total++ })
-	}
-	return total / 2 // each undirected edge reported from both endpoints
-}
+func EdgeCount(d Dynamic) int { return len(d.AppendEdges(nil)) }
 
 // AverageDegreeOver advances d by steps and returns the average per-node
 // degree across all visited snapshots (including the initial one).

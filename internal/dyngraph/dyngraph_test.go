@@ -2,6 +2,7 @@ package dyngraph
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -15,15 +16,9 @@ func TestStaticAdapter(t *testing.T) {
 		t.Fatal("N wrong")
 	}
 	d.Step() // no-op
-	count := 0
-	d.ForEachNeighbor(0, func(j int) {
-		if j != 1 && j != 4 {
-			t.Fatalf("unexpected neighbor %d", j)
-		}
-		count++
-	})
-	if count != 2 {
-		t.Fatalf("neighbor count = %d", count)
+	want := []Edge{{0, 1}, {0, 4}, {1, 2}, {2, 3}, {3, 4}}
+	if got := sortedEdgeSet(d.AppendEdges(nil)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("edges = %v, want %v", got, want)
 	}
 }
 
@@ -55,8 +50,8 @@ func TestAverageDegreeOver(t *testing.T) {
 	}
 }
 
-// flicker is a test Dynamic that alternates between a cycle and the empty
-// graph each step.
+// flicker is a toy graph that alternates between a cycle and the empty
+// graph each step; NewDeltifier makes it a Dynamic.
 type flicker struct {
 	g  *graph.Graph
 	on bool
@@ -64,15 +59,16 @@ type flicker struct {
 
 func (f *flicker) N() int { return f.g.N() }
 func (f *flicker) Step()  { f.on = !f.on }
-func (f *flicker) ForEachNeighbor(i int, fn func(j int)) {
+func (f *flicker) AppendEdges(dst []Edge) []Edge {
 	if f.on {
-		f.g.ForEachNeighbor(i, fn)
+		return NewStatic(f.g).AppendEdges(dst)
 	}
+	return dst
 }
 
 func TestTraceCaptureAndReplay(t *testing.T) {
 	src := &flicker{g: graph.Cycle(6), on: true}
-	tr := Capture(src, 3) // snapshots: on, off, on, off
+	tr := Capture(NewDeltifier(src), 3) // snapshots: on, off, on, off
 	if tr.Len() != 4 || tr.N() != 6 {
 		t.Fatalf("trace shape: len=%d n=%d", tr.Len(), tr.N())
 	}
@@ -102,7 +98,7 @@ func TestTraceCaptureAndReplay(t *testing.T) {
 
 func TestTraceSerializationRoundTrip(t *testing.T) {
 	src := &flicker{g: graph.Grid(3, 3), on: true}
-	tr := Capture(src, 5)
+	tr := Capture(NewDeltifier(src), 5)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -140,7 +136,7 @@ func TestReadTraceTruncatedStreams(t *testing.T) {
 	// Failure injection: truncate a valid stream at every prefix length;
 	// the reader must error, never panic or return a corrupt trace.
 	src := &flicker{g: graph.Grid(3, 3), on: true}
-	tr := Capture(src, 4)
+	tr := Capture(NewDeltifier(src), 4)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -156,7 +152,7 @@ func TestReadTraceTruncatedStreams(t *testing.T) {
 func TestReadTraceRejectsCorruptEdges(t *testing.T) {
 	// Flip the node count down so recorded edges fall out of range.
 	src := &flicker{g: graph.Cycle(8), on: true}
-	tr := Capture(src, 1)
+	tr := Capture(NewDeltifier(src), 1)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -168,67 +164,52 @@ func TestReadTraceRejectsCorruptEdges(t *testing.T) {
 	}
 }
 
-func TestSubsampleLimitsDegree(t *testing.T) {
-	g := graph.Complete(20)
-	r := rng.New(7)
-	sub := NewSubsample(NewStatic(g), 3, r)
-	for i := 0; i < 20; i++ {
-		count := 0
-		sub.ForEachNeighbor(i, func(j int) {
-			if j == i {
-				t.Fatal("self neighbor")
-			}
-			count++
-		})
-		if count != 3 {
-			t.Fatalf("node %d sees %d neighbors, want 3", i, count)
-		}
-	}
+// completeAdjacency returns the adjacency of the complete graph K_n.
+func completeAdjacency(n int) *Adjacency {
+	var a Adjacency
+	a.Reset(n)
+	a.AddEdges(NewStatic(graph.Complete(n)).AppendEdges(nil))
+	return &a
 }
 
-func TestSubsampleStableWithinStep(t *testing.T) {
-	g := graph.Complete(10)
-	sub := NewSubsample(NewStatic(g), 2, rng.New(11))
-	grab := func() []int {
-		var out []int
-		sub.ForEachNeighbor(0, func(j int) { out = append(out, j) })
-		return out
-	}
-	a := grab()
-	b := grab()
-	if len(a) != len(b) {
-		t.Fatal("subset changed within a step")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("subset changed within a step")
+func TestSubsampleLimitsDegree(t *testing.T) {
+	a := completeAdjacency(20)
+	r := rng.New(7)
+	for i := 0; i < 20; i++ {
+		got := a.Sample(i, 3, r, nil)
+		if len(got) != 3 {
+			t.Fatalf("node %d keeps %d neighbors, want 3", i, len(got))
 		}
-	}
-	sub.Step()
-	// After many steps, the subset should change at least once.
-	changed := false
-	for trial := 0; trial < 20 && !changed; trial++ {
-		c := grab()
-		for i := range c {
-			if i >= len(a) || c[i] != a[i] {
-				changed = true
-				break
+		seen := map[int32]bool{}
+		for _, j := range got {
+			if int(j) == i || seen[j] {
+				t.Fatalf("node %d: sample %v has a self or repeated neighbor", i, got)
 			}
+			seen[j] = true
 		}
-		sub.Step()
 	}
-	if !changed {
-		t.Fatal("subset never resampled across steps")
+	// Fresh draws on every call: node 0 samples many different subsets.
+	subsets := map[[3]int32]bool{}
+	for trial := 0; trial < 50; trial++ {
+		got := a.Sample(0, 3, r, nil)
+		subsets[[3]int32(got)] = true
+	}
+	if len(subsets) < 10 {
+		t.Fatalf("50 draws produced only %d distinct subsets", len(subsets))
 	}
 }
 
 func TestSubsampleKeepsAllWhenFewNeighbors(t *testing.T) {
-	g := graph.Path(3) // middle node has 2 neighbors
-	sub := NewSubsample(NewStatic(g), 5, rng.New(13))
-	count := 0
-	sub.ForEachNeighbor(1, func(j int) { count++ })
-	if count != 2 {
-		t.Fatalf("should keep all %d neighbors, saw %d", 2, count)
+	var a Adjacency
+	a.Reset(3)
+	a.AddEdges(NewStatic(graph.Path(3)).AppendEdges(nil)) // middle node has 2 neighbors
+	r := rng.New(13)
+	before := *r
+	if got := a.Sample(1, 5, r, nil); len(got) != 2 {
+		t.Fatalf("should keep all 2 neighbors, kept %v", got)
+	}
+	if *r != before {
+		t.Fatal("keeping every neighbor consumed random draws")
 	}
 }
 
@@ -238,7 +219,7 @@ func TestSubsamplePanicsOnBadK(t *testing.T) {
 			t.Fatal("k=0 did not panic")
 		}
 	}()
-	NewSubsample(NewStatic(graph.Cycle(3)), 0, rng.New(1))
+	completeAdjacency(3).Sample(0, 0, rng.New(1), nil)
 }
 
 func TestTracePanics(t *testing.T) {

@@ -52,21 +52,21 @@ func newAlternator() *alternator {
 
 func (a *alternator) N() int { return 4 }
 func (a *alternator) Step()  { a.t++ }
-func (a *alternator) ForEachNeighbor(i int, fn func(j int)) {
+func (a *alternator) AppendEdges(dst []Edge) []Edge {
 	for _, e := range a.trees[a.t%2] {
-		if e[0] == i {
-			fn(e[1])
+		u, v := int32(e[0]), int32(e[1])
+		if u > v {
+			u, v = v, u
 		}
-		if e[1] == i {
-			fn(e[0])
-		}
+		dst = append(dst, Edge{u, v})
 	}
+	return dst
 }
 
 func TestIntervalConnectivityAlternatingTrees(t *testing.T) {
 	// Each snapshot is a spanning tree (1-interval connected), but
 	// consecutive snapshots share no edge, so T = 2 fails.
-	tr := Capture(newAlternator(), 5)
+	tr := Capture(NewDeltifier(newAlternator()), 5)
 	if !IsTIntervalConnected(tr, 1) {
 		t.Fatal("each snapshot should be connected")
 	}

@@ -34,7 +34,7 @@ func (tr *Trace) Record(d Dynamic) {
 	if d.N() != tr.n {
 		panic("dyngraph: Record node count mismatch")
 	}
-	tr.steps = append(tr.steps, AppendEdges(d, nil))
+	tr.steps = append(tr.steps, d.AppendEdges(nil))
 }
 
 // Capture records steps+1 snapshots of d: the current one and each snapshot
@@ -62,33 +62,17 @@ func (tr *Trace) EdgesAt(t int) []Edge { return tr.steps[t] }
 // past the final snapshot keeps the last snapshot forever (the trace is
 // "frozen" at its end).
 func (tr *Trace) Replay() *Replay {
-	r := &Replay{trace: tr, deltaT: -1}
-	r.build()
-	return r
+	return &Replay{trace: tr, deltaT: -1}
 }
 
 // Replay is a Dynamic that replays a Trace.
 type Replay struct {
 	trace *Trace
 	t     int
-	adj   [][]int32
 	// prevSorted/curSorted are lazily maintained sorted snapshot copies
 	// backing AppendDeltas; deltaT remembers which step they describe.
 	prevSorted, curSorted []Edge
 	deltaT                int
-}
-
-func (r *Replay) build() {
-	if r.adj == nil {
-		r.adj = make([][]int32, r.trace.n)
-	}
-	for i := range r.adj {
-		r.adj[i] = r.adj[i][:0]
-	}
-	for _, e := range r.cur() {
-		r.adj[e.U] = append(r.adj[e.U], e.V)
-		r.adj[e.V] = append(r.adj[e.V], e.U)
-	}
 }
 
 // cur returns the recorded edges of the current (clamped) snapshot.
@@ -107,27 +91,12 @@ func (r *Replay) cur() []Edge {
 func (r *Replay) N() int { return r.trace.n }
 
 // Step implements Dynamic.
-func (r *Replay) Step() {
-	r.t++
-	r.build()
-}
+func (r *Replay) Step() { r.t++ }
 
-// ForEachNeighbor implements Dynamic.
-func (r *Replay) ForEachNeighbor(i int, fn func(j int)) {
-	for _, j := range r.adj[i] {
-		fn(int(j))
-	}
-}
-
-// AppendEdges implements Batcher: recorded snapshots are already flat edge
+// AppendEdges implements Dynamic: recorded snapshots are already flat edge
 // batches, so replay serves them with a single copy.
 func (r *Replay) AppendEdges(dst []Edge) []Edge {
 	return append(dst, r.cur()...)
-}
-
-// AppendNeighbors implements NeighborLister.
-func (r *Replay) AppendNeighbors(i int, dst []int32) []int32 {
-	return append(dst, r.adj[i]...)
 }
 
 // AppendDeltas implements DeltaBatcher by diffing the recorded previous and

@@ -16,13 +16,12 @@ import (
 )
 
 // Walker is a random walk on a dynamic graph. The walker owns the graph's
-// clock: Step advances both the token and the graph.
+// clock: Step advances both the token and the graph, through a Tracker
+// whose adjacency the walker reads its moves from.
 type Walker struct {
-	d       dyngraph.Dynamic
-	lister  dyngraph.NeighborLister // d's native per-node view, if any
-	r       *rng.RNG
-	pos     int
-	scratch []int32
+	tr  dyngraph.Tracker
+	r   *rng.RNG
+	pos int
 }
 
 // NewWalker places a token on start. It panics if start is out of range.
@@ -30,8 +29,8 @@ func NewWalker(d dyngraph.Dynamic, start int, r *rng.RNG) *Walker {
 	if start < 0 || start >= d.N() {
 		panic("dynwalk: start out of range")
 	}
-	w := &Walker{d: d, r: r, pos: start}
-	w.lister, _ = d.(dyngraph.NeighborLister)
+	w := &Walker{r: r, pos: start}
+	w.tr.Follow(d)
 	return w
 }
 
@@ -43,26 +42,17 @@ func (w *Walker) Pos() int { return w.pos }
 // reports whether the token actually moved — a transmission for message
 // accounting; an isolated step is free.
 //
-// The neighbor set is read through the model's per-node batch view (the
-// interface check is hoisted to construction) — a walker touches one node
-// per step, so whole-snapshot batching would be wasteful, and the move
-// draw indexes into the neighbor list, so walks are pinned to the model's
-// neighbor order and must not read a delta-maintained engine store.
-// The incremental-dynamics refactor speeds walks up model-side: edge-MEG
-// simulators now serve this view from neighbor lists maintained in
-// O(churn) per step (in rebuild-identical order), so a long walk on a
-// sparse MEG no longer pays an O(m) adjacency rebuild every step.
+// The move is a uniform index into the token's list in the tracked
+// adjacency: a uniform current neighbor whatever the list order. Keeping
+// the adjacency current costs O(churn) per step, and a warm step
+// allocates nothing.
 func (w *Walker) Step() bool {
-	if w.lister != nil {
-		w.scratch = w.lister.AppendNeighbors(w.pos, w.scratch[:0])
-	} else {
-		w.scratch = dyngraph.AppendNeighbors(w.d, w.pos, w.scratch[:0])
-	}
-	moved := len(w.scratch) > 0
+	nbrs := w.tr.Adj.Neighbors(w.pos)
+	moved := len(nbrs) > 0
 	if moved {
-		w.pos = int(w.scratch[w.r.Intn(len(w.scratch))])
+		w.pos = int(nbrs[w.r.Intn(len(nbrs))])
 	}
-	w.d.Step()
+	w.tr.Step()
 	return moved
 }
 

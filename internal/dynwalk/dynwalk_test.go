@@ -181,3 +181,23 @@ func TestCoverOnDynamicGraphBeatsStuckComponents(t *testing.T) {
 		t.Fatalf("dynamic graph should be coverable: %+v", dynRes)
 	}
 }
+
+// TestWalkerStepDeterministicAndZeroAlloc pins the walker's contract on a
+// churning edge-MEG: equal (model seed, walk seed) pairs replay the same
+// trajectory, and a warm Step — move draw, model step, delta drain and
+// adjacency apply — allocates nothing.
+func TestWalkerStepDeterministicAndZeroAlloc(t *testing.T) {
+	params := edgemeg.Params{N: 96, P: 0.004, Q: 0.1}
+	walker := func() *Walker {
+		return NewWalker(edgemeg.NewSparse(params, edgemeg.InitStationary, rng.New(23)), 0, rng.New(29))
+	}
+	a, b := walker(), walker()
+	for i := 0; i < 2000; i++ {
+		if a.Step() != b.Step() || a.Pos() != b.Pos() {
+			t.Fatalf("step %d: same-seed walkers diverged at %d vs %d", i, a.Pos(), b.Pos())
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() { a.Step() }); allocs != 0 {
+		t.Errorf("warm Walker.Step: %.2f allocs, want 0", allocs)
+	}
+}

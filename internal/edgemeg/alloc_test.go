@@ -34,15 +34,15 @@ func TestSparseStepZeroAlloc(t *testing.T) {
 
 func TestSparseChurnStepZeroAlloc(t *testing.T) {
 	p := Params{N: 4096, P: 0.0000049, Q: 0.01}
-	assertStepsZeroAlloc(t, "sparse fastchurn step",
-		NewSparseChurn(p, InitStationary, rng.New(11)))
+	assertStepsZeroAlloc(t, "sparse stream=v2 step",
+		newSparseChurn(p, InitStationary, rng.New(11)))
 }
 
 // The delta view rides on the same buffers: model step + AppendDeltas is
 // the per-step work a delta consumer (the incremental flood engine) pays.
 func TestSparseStepAndDeltasZeroAlloc(t *testing.T) {
 	p := Params{N: 4096, P: 0.0000049, Q: 0.01}
-	s := NewSparseChurn(p, InitStationary, rng.New(11))
+	s := newSparseChurn(p, InitStationary, rng.New(11))
 	for i := 0; i < 500; i++ {
 		s.Step()
 	}

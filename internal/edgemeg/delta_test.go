@@ -2,67 +2,53 @@ package edgemeg
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dyngraph"
 	"repro/internal/rng"
 )
 
-// The incremental adjacency maintenance must be invisible: a simulator
-// whose neighbor lists went live early (and were then maintained in place
-// across hundreds of steps of churn) must expose neighbor sequences
-// byte-identical to a same-seed simulator that rebuilds lazily at the
-// checkpoint. Neighbor ORDER matters, not just set equality — pull,
-// push–pull and random-walk draws index into these lists, so any order
-// drift would silently change fixed-seed trajectories.
+// The incremental adjacency maintenance must be invisible: an engine-side
+// adjacency that follows a model's delta stream across hundreds of steps
+// of churn must hold exactly the neighbor sets of a same-seed model whose
+// snapshot is rebuilt from scratch at the checkpoint.
 
-// neighborMatrix snapshots every node's AppendNeighbors output.
-func neighborMatrix(d dyngraph.Dynamic, n int) [][]int32 {
-	out := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		out[i] = dyngraph.AppendNeighbors(d, i, nil)
+// neighborSets returns every node's sorted neighbor list.
+func neighborSets(adj *dyngraph.Adjacency) [][]int32 {
+	out := make([][]int32, adj.N())
+	for i := range out {
+		out[i] = slices.Sorted(slices.Values(adj.Neighbors(i)))
 	}
 	return out
-}
-
-func matricesEqual(a, b [][]int32) (int, bool) {
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return i, false
-		}
-		for k := range a[i] {
-			if a[i][k] != b[i][k] {
-				return i, false
-			}
-		}
-	}
-	return 0, true
 }
 
 func testIncrementalMatchesRebuild(t *testing.T, build func(seed uint64) dyngraph.Dynamic, n int) {
 	t.Helper()
 	const steps = 220
 	for _, seed := range []uint64{1, 7, 1234} {
-		live := build(seed)
-		neighborMatrix(live, n) // force the adjacency live at t = 0
-		fresh := func(upto int) dyngraph.Dynamic {
+		var live dyngraph.Tracker
+		live.Follow(build(seed))
+		fresh := func(upto int) [][]int32 {
 			d := build(seed)
 			for s := 0; s < upto; s++ {
-				d.Step() // never accessed: adjacency stays unbuilt
+				d.Step()
 			}
-			return d
+			var rebuilt dyngraph.Adjacency
+			rebuilt.Reset(n)
+			rebuilt.AddEdges(d.AppendEdges(nil))
+			return neighborSets(&rebuilt)
 		}
 		checkpoints := map[int]bool{1: true, 2: true, 13: true, 100: true, steps: true}
 		for s := 1; s <= steps; s++ {
 			live.Step()
-			got := neighborMatrix(live, n) // maintained incrementally
 			if !checkpoints[s] {
 				continue
 			}
-			want := neighborMatrix(fresh(s), n) // built by one lazy rebuild
-			if node, ok := matricesEqual(got, want); !ok {
-				t.Fatalf("seed %d step %d node %d: incremental %v != rebuilt %v",
-					seed, s, node, got[node], want[node])
+			got, want := neighborSets(&live.Adj), fresh(s)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: incremental %v != rebuilt %v", seed, s, got, want)
 			}
 		}
 	}
@@ -78,11 +64,20 @@ func TestSparseIncrementalAdjacencyMatchesRebuild(t *testing.T) {
 func TestSparseChurnIncrementalAdjacencyMatchesRebuild(t *testing.T) {
 	const n = 48
 	testIncrementalMatchesRebuild(t, func(seed uint64) dyngraph.Dynamic {
-		return NewSparseChurn(Params{N: n, P: 0.02, Q: 0.2}, InitStationary, rng.New(seed))
+		s := NewSparse(Params{N: n, P: 0.02, Q: 0.2}, InitStationary, rng.New(seed))
+		s.UseChurnSampler()
+		return s
 	}, n)
 }
 
-// TestSparseChurnMatchesSweepMoments pins the fastchurn death sampler to
+// newSparseChurn builds a sparse simulator on the stream=v2 death sampler.
+func newSparseChurn(params Params, init Init, r *rng.RNG) *Sparse {
+	s := NewSparse(params, init, r)
+	s.UseChurnSampler()
+	return s
+}
+
+// TestSparseChurnMatchesSweepMoments pins the stream=v2 death sampler to
 // the sweep sampler's law: time-averaged edge counts and their Binomial
 // fluctuations agree (the geometric-skipping deaths are the same
 // product-Bernoulli(q) law consumed through fewer draws), and the extreme
@@ -90,7 +85,7 @@ func TestSparseChurnIncrementalAdjacencyMatchesRebuild(t *testing.T) {
 func TestSparseChurnMatchesSweepMoments(t *testing.T) {
 	params := Params{N: 40, P: 0.02, Q: 0.08} // alpha = 0.2
 	sweep := NewSparse(params, InitStationary, rng.New(11))
-	churn := NewSparseChurn(params, InitStationary, rng.New(13))
+	churn := newSparseChurn(params, InitStationary, rng.New(13))
 	var mSweep, mChurn, deaths, alive float64
 	const steps = 600
 	for step := 0; step < steps; step++ {
@@ -104,28 +99,28 @@ func TestSparseChurnMatchesSweepMoments(t *testing.T) {
 		alive += float64(before)
 	}
 	want := params.Alpha() * float64(pairCount(40))
-	for name, mean := range map[string]float64{"sweep": mSweep / steps, "fastchurn": mChurn / steps} {
+	for name, mean := range map[string]float64{"sweep": mSweep / steps, "churn": mChurn / steps} {
 		if math.Abs(mean-want) > 0.08*want {
 			t.Fatalf("%s mean edges %v, want ~%v", name, mean, want)
 		}
 	}
 	// Per-step deaths average q per alive edge.
 	if got, want := deaths/alive, params.Q; math.Abs(got-want) > 0.15*want {
-		t.Fatalf("fastchurn death rate %v, want ~%v", got, want)
+		t.Fatalf("churn-sampler death rate %v, want ~%v", got, want)
 	}
 
 	// Extremes: q = 1 kills every edge in one step; q = 0 kills none
 	// (starting full, no pair is dead before the step, so no births
 	// interfere in either case).
-	all := NewSparseChurn(Params{N: 20, P: 0.01, Q: 1}, InitFull, rng.New(3))
+	all := newSparseChurn(Params{N: 20, P: 0.01, Q: 1}, InitFull, rng.New(3))
 	all.Step()
 	if all.EdgeCount() != 0 {
-		t.Fatalf("q=1 fastchurn left %d edges alive", all.EdgeCount())
+		t.Fatalf("q=1 churn sampler left %d edges alive", all.EdgeCount())
 	}
-	none := NewSparseChurn(Params{N: 20, P: 0.01, Q: 0}, InitFull, rng.New(3))
+	none := newSparseChurn(Params{N: 20, P: 0.01, Q: 0}, InitFull, rng.New(3))
 	none.Step()
 	if got, want := none.EdgeCount(), int(pairCount(20)); got != want {
-		t.Fatalf("q=0 fastchurn killed edges: %d alive, want %d", got, want)
+		t.Fatalf("q=0 churn sampler killed edges: %d alive, want %d", got, want)
 	}
 }
 

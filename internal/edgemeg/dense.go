@@ -97,21 +97,7 @@ func (d *Dense) Step() {
 	}
 }
 
-// ForEachNeighbor implements dyngraph.Dynamic by scanning the i-th row of
-// the pair matrix.
-func (d *Dense) ForEachNeighbor(i int, fn func(j int)) {
-	n := d.params.N
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
-		if d.get(pairRank(i, j, n)) {
-			fn(j)
-		}
-	}
-}
-
-// AppendEdges implements dyngraph.Batcher by scanning the bitset one word
+// AppendEdges implements dyngraph.Dynamic by scanning the bitset one word
 // at a time and decoding only the set bits.
 func (d *Dense) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 	n := d.params.N
@@ -122,17 +108,6 @@ func (d *Dense) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 			word &= word - 1
 			u, v := pairFromRank(base+int64(bit), n)
 			dst = append(dst, dyngraph.Edge{U: int32(u), V: int32(v)})
-		}
-	}
-	return dst
-}
-
-// AppendNeighbors implements dyngraph.NeighborLister.
-func (d *Dense) AppendNeighbors(i int, dst []int32) []int32 {
-	n := d.params.N
-	for j := 0; j < n; j++ {
-		if j != i && d.get(pairRank(i, j, n)) {
-			dst = append(dst, int32(j))
 		}
 	}
 	return dst

@@ -117,15 +117,18 @@ func TestDenseNeighborsConsistent(t *testing.T) {
 	params := Params{N: 15, P: 0.2, Q: 0.2}
 	d := NewDense(params, InitStationary, rng.New(9))
 	for step := 0; step < 5; step++ {
-		for i := 0; i < 15; i++ {
-			d.ForEachNeighbor(i, func(j int) {
-				if !d.HasEdge(i, j) || !d.HasEdge(j, i) {
-					t.Fatalf("neighbor inconsistency %d-%d", i, j)
-				}
-				if i == j {
-					t.Fatal("self loop")
-				}
-			})
+		edges := d.AppendEdges(nil)
+		for _, e := range edges {
+			i, j := int(e.U), int(e.V)
+			if !d.HasEdge(i, j) || !d.HasEdge(j, i) {
+				t.Fatalf("edge inconsistency %d-%d", i, j)
+			}
+			if i >= j {
+				t.Fatalf("edge %v not normalized to U < V", e)
+			}
+		}
+		if len(edges) != d.EdgeCount() {
+			t.Fatalf("batch has %d edges, EdgeCount %d", len(edges), d.EdgeCount())
 		}
 		d.Step()
 	}
@@ -162,17 +165,14 @@ func TestSparseNeighborsConsistent(t *testing.T) {
 	params := Params{N: 30, P: 0.05, Q: 0.2}
 	s := NewSparse(params, InitStationary, rng.New(15))
 	for step := 0; step < 10; step++ {
-		count := 0
-		for i := 0; i < 30; i++ {
-			s.ForEachNeighbor(i, func(j int) {
-				count++
-				if !s.HasEdge(i, j) {
-					t.Fatalf("phantom neighbor %d-%d", i, j)
-				}
-			})
+		edges := s.AppendEdges(nil)
+		for _, e := range edges {
+			if !s.HasEdge(int(e.U), int(e.V)) || e.U >= e.V {
+				t.Fatalf("phantom or unnormalized edge %v", e)
+			}
 		}
-		if count != 2*s.EdgeCount() {
-			t.Fatalf("adjacency count %d != 2x edges %d", count, 2*s.EdgeCount())
+		if len(edges) != s.EdgeCount() {
+			t.Fatalf("batch has %d edges, EdgeCount %d", len(edges), s.EdgeCount())
 		}
 		s.Step()
 	}
@@ -326,12 +326,10 @@ func TestGeneralNeighborsSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 5; step++ {
-		for i := 0; i < 12; i++ {
-			g.ForEachNeighbor(i, func(j int) {
-				if !g.HasEdge(j, i) {
-					t.Fatalf("asymmetric edge %d-%d", i, j)
-				}
-			})
+		for _, e := range g.AppendEdges(nil) {
+			if !g.HasEdge(int(e.U), int(e.V)) || !g.HasEdge(int(e.V), int(e.U)) {
+				t.Fatalf("asymmetric edge %v", e)
+			}
 		}
 		g.Step()
 	}

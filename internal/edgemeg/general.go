@@ -26,13 +26,6 @@ type General struct {
 	r       *rng.RNG
 	states  []int32 // per pair, pairRank order
 	pairs   int64
-	adj     [][]int32
-	// adjLive reports that adj mirrors the presence map. It flips true on
-	// the first neighbor access (the lazy build) and stays true: Step then
-	// maintains the lists in place, each sorted ascending by neighbor id —
-	// exactly the order a full rank-order rebuild produces — at O(degree)
-	// per presence flip. Batch and delta consumers never force the build.
-	adjLive bool
 	// born and died record the edges whose presence flipped in the most
 	// recent Step, backing dyngraph.DeltaBatcher; buffers are reused.
 	born, died []dyngraph.Edge
@@ -63,7 +56,6 @@ func NewGeneral(n int, chain *markov.Chain, chi []bool, init []float64, r *rng.R
 		r:       r,
 		states:  make([]int32, pairs),
 		pairs:   pairs,
-		adj:     make([][]int32, n),
 	}
 	initAlias := rng.NewAlias(init)
 	for i := range g.states {
@@ -93,8 +85,7 @@ func (g *General) N() int { return g.n }
 
 // Step implements dyngraph.Dynamic: every edge's hidden state advances one
 // step of M independently. The sweep tracks the pair coordinates alongside
-// the rank, recording each presence flip as a delta edge and mirroring it
-// into the live adjacency.
+// the rank, recording each presence flip as a delta edge.
 func (g *General) Step() {
 	if g.cc != nil {
 		g.stepClasses()
@@ -110,16 +101,8 @@ func (g *General) Step() {
 			if was, is := g.chi[old], g.chi[next]; is != was {
 				if is {
 					g.born = append(g.born, dyngraph.Edge{U: int32(u), V: int32(v)})
-					if g.adjLive {
-						g.adjInsort(u, int32(v))
-						g.adjInsort(v, int32(u))
-					}
 				} else {
 					g.died = append(g.died, dyngraph.Edge{U: int32(u), V: int32(v)})
-					if g.adjLive {
-						g.adjDelete(u, int32(v))
-						g.adjDelete(v, int32(u))
-					}
 				}
 			}
 			rank++
@@ -127,60 +110,7 @@ func (g *General) Step() {
 	}
 }
 
-// adjInsort inserts neighbor v into adj[u], keeping the list sorted
-// ascending — the order a full rank-order rebuild produces.
-func (g *General) adjInsort(u int, v int32) {
-	l := append(g.adj[u], v)
-	k := len(l) - 1
-	for k > 0 && l[k-1] > v {
-		l[k] = l[k-1]
-		k--
-	}
-	l[k] = v
-	g.adj[u] = l
-}
-
-// adjDelete removes neighbor v from adj[u], preserving order.
-func (g *General) adjDelete(u int, v int32) {
-	l := g.adj[u]
-	for k, w := range l {
-		if w == v {
-			g.adj[u] = append(l[:k], l[k+1:]...)
-			return
-		}
-	}
-	panic("edgemeg: adjacency out of sync (missing neighbor)")
-}
-
-// rebuildAdj materializes the per-node neighbor lists by one rank-order
-// scan, each list coming out sorted ascending by neighbor id. It runs at
-// most once per simulator — the lazy build on the first neighbor access;
-// from then on Step maintains the lists incrementally in the same order.
-func (g *General) rebuildAdj() {
-	for i := range g.adj {
-		g.adj[i] = g.adj[i][:0]
-	}
-	for rank := int64(0); rank < g.pairs; rank++ {
-		if g.chi[g.states[rank]] {
-			u, v := pairFromRank(rank, g.n)
-			g.adj[u] = append(g.adj[u], int32(v))
-			g.adj[v] = append(g.adj[v], int32(u))
-		}
-	}
-	g.adjLive = true
-}
-
-// ForEachNeighbor implements dyngraph.Dynamic.
-func (g *General) ForEachNeighbor(i int, fn func(j int)) {
-	if !g.adjLive {
-		g.rebuildAdj()
-	}
-	for _, j := range g.adj[i] {
-		fn(int(j))
-	}
-}
-
-// AppendEdges implements dyngraph.Batcher by scanning the per-pair state
+// AppendEdges implements dyngraph.Dynamic by scanning the per-pair state
 // vector once in rank order, tracking the pair coordinates incrementally
 // instead of inverting each rank.
 func (g *General) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
@@ -194,14 +124,6 @@ func (g *General) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 		}
 	}
 	return dst
-}
-
-// AppendNeighbors implements dyngraph.NeighborLister.
-func (g *General) AppendNeighbors(i int, dst []int32) []int32 {
-	if !g.adjLive {
-		g.rebuildAdj()
-	}
-	return append(dst, g.adj[i]...)
 }
 
 // AppendDeltas implements dyngraph.DeltaBatcher, serving the presence

@@ -117,8 +117,7 @@ func (g *General) drawDest(s int) int32 {
 }
 
 // applyMove commits one sampled transition: class lists (swap-remove +
-// append), the state vector, the delta record when presence flips, and
-// the live adjacency.
+// append), the state vector, and the delta record when presence flips.
 func (g *General) applyMove(mv classMove) {
 	cc := g.cc
 	from := g.states[mv.rank]
@@ -136,16 +135,8 @@ func (g *General) applyMove(mv classMove) {
 		u, v := pairFromRank(mv.rank, g.n)
 		if is {
 			g.born = append(g.born, dyngraph.Edge{U: int32(u), V: int32(v)})
-			if g.adjLive {
-				g.adjInsort(u, int32(v))
-				g.adjInsort(v, int32(u))
-			}
 		} else {
 			g.died = append(g.died, dyngraph.Edge{U: int32(u), V: int32(v)})
-			if g.adjLive {
-				g.adjDelete(u, int32(v))
-				g.adjDelete(v, int32(u))
-			}
 		}
 	}
 }

@@ -59,7 +59,6 @@ func init() {
 			{Name: "q", Kind: model.Float, Default: "0.096", Help: "edge death rate (on -> off)"},
 			{Name: "init", Kind: model.String, Default: "stationary", Help: "initial law: stationary | empty | full"},
 			{Name: "dense", Kind: model.Bool, Default: "false", Help: "use the dense O(n²)-per-step simulator"},
-			{Name: "fastchurn", Kind: model.Bool, Default: "false", Help: "O(churn)-draw death sampler (same law, different RNG stream; sparse only)"},
 			{Name: "stream", Kind: model.String, Default: "v1", Help: "RNG stream generation: v1 (pinned legacy draws) | v2 (O(churn) samplers on; same law)"},
 		},
 		Build: func(a model.Args, r *rng.RNG) (dyngraph.Dynamic, error) {
@@ -71,20 +70,21 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			fast, err := parseStream(a.String("stream"), a.Bool("fastchurn"))
+			fast, err := parseStream(a.String("stream"))
 			if err != nil {
 				return nil, err
 			}
 			if a.Bool("dense") {
 				if fast {
-					return nil, fmt.Errorf("edgemeg: fastchurn/stream=v2 apply to the sparse simulator only")
+					return nil, fmt.Errorf("edgemeg: stream=v2 applies to the sparse simulator only")
 				}
 				return NewDense(params, init, r), nil
 			}
+			s := NewSparse(params, init, r)
 			if fast {
-				return NewSparseChurn(params, init, r), nil
+				s.UseChurnSampler()
 			}
-			return NewSparse(params, init, r), nil
+			return s, nil
 		},
 	})
 
@@ -114,7 +114,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			fast, err := parseStream(a.String("stream"), false)
+			fast, err := parseStream(a.String("stream"))
 			if err != nil {
 				return nil, err
 			}
@@ -126,15 +126,14 @@ func init() {
 	})
 }
 
-// parseStream resolves the stream spec param against the legacy fastchurn
-// flag: v1 keeps the pinned RNG draws (unless fastchurn opts into the
-// sparse fast sampler explicitly, as before), v2 turns the O(churn)
-// samplers on. Unset specs parse as v1, so every pre-existing spec string
-// — and every fixed-seed pin over one — is untouched.
-func parseStream(stream string, fastchurn bool) (fast bool, err error) {
+// parseStream resolves the stream spec param: v1 keeps the pinned RNG
+// draws, v2 turns the O(churn) samplers on. Unset specs parse as v1, so
+// every pre-existing spec string — and every fixed-seed pin over one — is
+// untouched.
+func parseStream(stream string) (fast bool, err error) {
 	switch stream {
 	case "v1":
-		return fastchurn, nil
+		return false, nil
 	case "v2":
 		return true, nil
 	}

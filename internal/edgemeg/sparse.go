@@ -18,15 +18,9 @@ import (
 // index, so the random-number stream is consumed in a deterministic order
 // and runs are reproducible per seed (Go map iteration order would not be).
 //
-// The simulator knows exactly which ranks flip each step, so it exposes
-// the churn through dyngraph.DeltaBatcher, and its per-node adjacency is
-// never rebuilt from scratch after its first construction: once a neighbor
-// consumer forces the lists into existence they are maintained in place —
-// O(degree) per changed edge — in an order provably identical to a full
-// rebuild, so order-sensitive consumers (pull's and push–pull's random
-// draws, random walks) see byte-identical neighbor sequences per seed.
-// Consumers that only read batches or deltas never pay for adjacency at
-// all.
+// The simulator knows exactly which ranks flip each step, so its deltas
+// cost one rank decode per changed edge, and it keeps no per-node
+// adjacency: the alive slice is the whole state.
 type Sparse struct {
 	params Params
 	r      *rng.RNG
@@ -40,30 +34,14 @@ type Sparse struct {
 	// ranks that died this step); rebuilding a map here used to be the
 	// only per-step allocation left in Step.
 	excl rankIndex
-	adj  [][]adjEntry // per-node neighbor lists, nil until rebuildAdj; see adjLive
-	// adjLive reports that adj mirrors the alive set. It flips true on the
-	// first neighbor access (the lazy build) and stays true: insert/remove
-	// then maintain the lists incrementally, sorted by the incident edge's
-	// position in edges — exactly the order rebuildAdj produces.
-	adjLive bool
 	// born and died record the ranks that flipped in the most recent Step,
 	// backing AppendDeltas; buffers are reused across steps.
 	born, died []int64
-	// fastChurn selects the O(churn)-draw death sampler (geometric
+	// churnDeaths selects the O(churn)-draw death sampler (geometric
 	// skipping over the alive slice) instead of the per-edge Bernoulli
-	// sweep. Same transition law, different RNG stream; see NewSparseChurn.
-	fastChurn bool
-}
-
-// adjEntry is one neighbor-list slot: the neighbor plus the incident
-// edge's current position in the alive slice. Carrying the position in
-// the entry keeps incremental maintenance free of pos-map lookups — the
-// relocation compare after a swap-remove is a plain integer read.
-// Positions index the alive slice (not pair ranks), so int32 spans any
-// realistic alive set.
-type adjEntry struct {
-	nbr int32
-	pos int32
+	// sweep. Same transition law, different RNG stream; see
+	// UseChurnSampler.
+	churnDeaths bool
 }
 
 // NewSparse builds a sparse simulator with the given initial distribution.
@@ -96,23 +74,18 @@ func NewSparse(params Params, init Init, r *rng.RNG) *Sparse {
 	return s
 }
 
-// NewSparseChurn builds a sparse simulator whose whole Step costs
-// O(churn): deaths are sampled by geometric skipping over the alive slice
-// — each alive edge still dies independently with probability q (gaps
+// UseChurnSampler switches s to the stream=v2 death sampler, making the
+// whole Step cost O(churn): deaths are sampled by geometric skipping over
+// the alive slice — each alive edge still dies independently with
+// probability q (gaps
 // between successes of a Bernoulli(q) sequence are iid Geometric(q), the
 // same device binomialInt64 uses for births) — instead of the per-edge
 // Bernoulli sweep, whose O(alive) draws dominate the step once delta
 // consumers stop paying for snapshot scans. The trajectory law is
-// identical to NewSparse; the random-number STREAM is not, so fixed-seed
-// runs differ (same distribution). Every stream-compatibility pin
-// therefore stays on NewSparse, which remains the default; this variant
-// is opt-in (spec param fastchurn) for large-scale work where the sweep
-// is the bottleneck.
-func NewSparseChurn(params Params, init Init, r *rng.RNG) *Sparse {
-	s := NewSparse(params, init, r)
-	s.fastChurn = true
-	return s
-}
+// unchanged; the random-number STREAM is not, so fixed-seed runs differ
+// (same distribution). Call it before the first Step; the spec param
+// stream=v2 does.
+func (s *Sparse) UseChurnSampler() { s.churnDeaths = true }
 
 // insert adds rank to the alive set (at the maximal position) and records
 // it as born; it must not already be present.
@@ -124,18 +97,9 @@ func (s *Sparse) insert(rank int64) {
 	s.pos.Put(rank, int32(p))
 	s.edges = append(s.edges, rank)
 	s.born = append(s.born, rank)
-	if s.adjLive {
-		// The new edge holds the maximal position, so appending keeps both
-		// endpoint lists sorted by edge position.
-		u, v := pairFromRank(rank, s.params.N)
-		s.adj[u] = append(s.adj[u], adjEntry{nbr: int32(v), pos: int32(p)})
-		s.adj[v] = append(s.adj[v], adjEntry{nbr: int32(u), pos: int32(p)})
-	}
 }
 
-// remove deletes rank from the alive set by swap-with-last, mirroring the
-// change into the live adjacency so the lists stay exactly what a full
-// rebuild from the post-removal edge slice would produce.
+// remove deletes rank from the alive set by swap-with-last.
 func (s *Sparse) remove(rank int64) {
 	pi, ok := s.pos.Get(rank)
 	if !ok {
@@ -148,47 +112,6 @@ func (s *Sparse) remove(rank int64) {
 	s.pos.Put(moved, int32(i))
 	s.edges = s.edges[:last]
 	s.pos.Delete(rank)
-	if s.adjLive {
-		n := s.params.N
-		u, v := pairFromRank(rank, n)
-		s.adjDelete(u, int32(v))
-		s.adjDelete(v, int32(u))
-		if moved != rank {
-			// The swapped edge's position dropped from the maximum to i, so
-			// its entries — currently last in both endpoint lists — must
-			// move to the slot that keeps the lists position-sorted.
-			mu, mv := pairFromRank(moved, n)
-			s.adjRelocateLast(mu, int32(mv), i)
-			s.adjRelocateLast(mv, int32(mu), i)
-		}
-	}
-}
-
-// adjDelete removes neighbor v from adj[u], preserving the order of the
-// remaining entries.
-func (s *Sparse) adjDelete(u int, v int32) {
-	l := s.adj[u]
-	for k := range l {
-		if l[k].nbr == v {
-			s.adj[u] = append(l[:k], l[k+1:]...)
-			return
-		}
-	}
-	panic("edgemeg: adjacency out of sync (missing neighbor)")
-}
-
-// adjRelocateLast moves adj[u]'s final entry (neighbor v, whose incident
-// edge just moved to position newPos in the alive slice) to the slot that
-// keeps adj[u] sorted by edge position. The stored positions make the
-// compare a plain integer read — no pos-map lookups on this hot path.
-func (s *Sparse) adjRelocateLast(u int, v int32, newPos int) {
-	l := s.adj[u]
-	k := len(l) - 1 // v's current slot
-	for k > 0 && l[k-1].pos > int32(newPos) {
-		l[k] = l[k-1]
-		k--
-	}
-	l[k] = adjEntry{nbr: v, pos: int32(newPos)}
 }
 
 // binomialInt64 samples Binomial(n, p) for potentially huge n via geometric
@@ -241,10 +164,10 @@ func (s *Sparse) Step() {
 
 	// Deaths: collect in deterministic order, then remove. The default
 	// sweep draws one Bernoulli per alive edge (the stream-compatible
-	// path); fastChurn draws one Geometric per death instead — identical
+	// path); churnDeaths draws one Geometric per death instead — identical
 	// law over the died set, O(churn) draws.
 	if q > 0 {
-		if s.fastChurn {
+		if s.churnDeaths {
 			for i := int64(s.r.Geometric(q)); i < int64(len(s.edges)); i += 1 + int64(s.r.Geometric(q)) {
 				s.died = append(s.died, s.edges[i])
 			}
@@ -282,60 +205,13 @@ func (s *Sparse) Step() {
 	}
 }
 
-// rebuildAdj materializes the per-node neighbor lists from the alive
-// slice. It runs at most once per simulator — the lazy build on the first
-// neighbor access; from then on insert/remove keep the lists current, in
-// this same order (each list sorted by the incident edge's position), at
-// O(degree) per changed edge instead of O(alive) per step.
-func (s *Sparse) rebuildAdj() {
-	n := s.params.N
-	if s.adj == nil {
-		// Allocated here, not in NewSparse: delta and batch consumers
-		// never touch per-node lists, and at n = 10^6 even the empty
-		// slice headers are 24 MB.
-		s.adj = make([][]adjEntry, n)
-	}
-	for i := range s.adj {
-		s.adj[i] = s.adj[i][:0]
-	}
-	for p, rank := range s.edges {
-		u, v := pairFromRank(rank, n)
-		s.adj[u] = append(s.adj[u], adjEntry{nbr: int32(v), pos: int32(p)})
-		s.adj[v] = append(s.adj[v], adjEntry{nbr: int32(u), pos: int32(p)})
-	}
-	s.adjLive = true
-}
-
-// ForEachNeighbor implements dyngraph.Dynamic.
-func (s *Sparse) ForEachNeighbor(i int, fn func(j int)) {
-	if !s.adjLive {
-		s.rebuildAdj()
-	}
-	for _, e := range s.adj[i] {
-		fn(int(e.nbr))
-	}
-}
-
-// AppendEdges implements dyngraph.Batcher: the alive-edge list IS the
-// snapshot, so the batch view decodes each rank once and never touches the
-// per-node adjacency lists (which batch consumers then never force us to
-// rebuild).
+// AppendEdges implements dyngraph.Dynamic: the alive-edge list IS the
+// snapshot, so the batch decodes each rank once.
 func (s *Sparse) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 	n := s.params.N
 	for _, rank := range s.edges {
 		u, v := pairFromRank(rank, n)
 		dst = append(dst, dyngraph.Edge{U: int32(u), V: int32(v)})
-	}
-	return dst
-}
-
-// AppendNeighbors implements dyngraph.NeighborLister.
-func (s *Sparse) AppendNeighbors(i int, dst []int32) []int32 {
-	if !s.adjLive {
-		s.rebuildAdj()
-	}
-	for _, e := range s.adj[i] {
-		dst = append(dst, e.nbr)
 	}
 	return dst
 }
@@ -368,22 +244,14 @@ func (s *Sparse) HasEdge(i, j int) bool {
 func (s *Sparse) EdgeCount() int { return len(s.edges) }
 
 // Bytes returns the heap bytes retained by the simulator's state — the
-// alive slice, the rank index, the exclude scratch, the churn buffers,
-// and the per-node adjacency when a neighbor consumer has forced it. It
-// is the model side of the resident-footprint accounting that gates the
+// alive slice, the rank index, the exclude scratch and the churn
+// buffers. It is the model side of the resident-footprint accounting that gates the
 // million-node engine.
 func (s *Sparse) Bytes() int64 {
 	b := int64(cap(s.edges))*8 + s.pos.Bytes() + s.excl.Bytes()
-	b += int64(cap(s.born))*8 + int64(cap(s.died))*8
-	if s.adj != nil {
-		b += int64(cap(s.adj)) * 24
-		for _, l := range s.adj {
-			b += int64(cap(l)) * 8
-		}
-	}
-	return b
+	return b + int64(cap(s.born))*8 + int64(cap(s.died))*8
 }
 
-// maxAlive bounds the alive-slice positions the rank index and the
-// adjacency entries store as int32.
+// maxAlive bounds the alive-slice positions the rank index stores as
+// int32.
 const maxAlive = 1<<31 - 2

@@ -43,8 +43,7 @@ const asyncWheelBuckets = 64
 // The contact draw is insensitive to neighbor-list ORDER: one draw s per
 // firing gives every current neighbor j the priority rng.Seed(s, j), and
 // the minimum wins — uniform over the neighbor set, ties broken by node
-// id. A delta-maintained adjacency (whose swap-remove perturbs order), a
-// per-step rebuilt one, and the model's own neighbor view therefore
+// id. Any two delta streams that describe the same snapshots therefore
 // produce byte-identical runs, pinned by the async equivalence tests.
 //
 // Result semantics match the synchronous engines at step granularity:
@@ -57,11 +56,11 @@ func Async(d dyngraph.Dynamic, source int, rate float64, clockSeed uint64, opts 
 	if !(rate > 0) {
 		panic("flood: Async needs rate > 0")
 	}
-	n := d.N()
-	sc, res, done := start(n, source, opts)
+	sc, res, done := start(d, source, opts)
 	if done {
 		return res
 	}
+	n := sc.informed.Len()
 	wheel, clocks := sc.asyncState(n)
 	for i := range clocks {
 		clocks[i].Reseed(rng.Seed(clockSeed, uint64(i)))
@@ -69,16 +68,15 @@ func Async(d dyngraph.Dynamic, source int, rate float64, clockSeed uint64, opts 
 	for i := 0; i < n; i++ {
 		wheel.Schedule(int32(i), gapTicks(&clocks[i], rate))
 	}
-	// Pick the cheapest neighbor access the model offers, mirroring Run:
-	// delta-maintained adjacency when the model streams churn, per-step
-	// rebuilt adjacency for plain batchers, the model's own per-node view
-	// otherwise. All three compute the identical trajectory (see above).
-	if db, ok := d.(dyngraph.DeltaBatcher); ok {
-		asyncDelta(db, d, sc, rate, opts, &res)
-	} else if b, ok := d.(dyngraph.Batcher); ok {
-		asyncBatch(b, d, sc, rate, opts, &res)
-	} else {
-		asyncMember(d, sc, rate, opts, &res)
+	size := 1
+	maxSteps := opts.maxSteps()
+	for t := 0; t < maxSteps; t++ {
+		msgs, newly := asyncFires(sc, rate, int64(t+1)*TicksPerStep)
+		size += newly
+		if record(&res, opts, n, size, t, msgs) {
+			return res
+		}
+		sc.tr.Step()
 	}
 	return res
 }
@@ -113,9 +111,8 @@ func contact(s uint64, nbrs []int32) int32 {
 }
 
 // asyncFires drains one step's firings (ticks below limit) against the
-// neighbor lists of adj, informing contacts immediately, and returns the
-// step's message count and first-time informs. Shared by the delta and
-// batch dispatch paths.
+// tracked adjacency, informing contacts immediately, and returns the
+// step's message count and first-time informs.
 func asyncFires(sc *Scratch, rate float64, limit int64) (msgs int64, newly int) {
 	wheel, clocks, informed := sc.wheel, sc.clocks, sc.informed
 	for {
@@ -125,7 +122,7 @@ func asyncFires(sc *Scratch, rate float64, limit int64) (msgs int64, newly int) 
 		}
 		cl := &clocks[node]
 		if informed.Get(int(node)) {
-			if nbrs := sc.adj.Neighbors(int(node)); len(nbrs) > 0 {
+			if nbrs := sc.tr.Adj.Neighbors(int(node)); len(nbrs) > 0 {
 				msgs++
 				j := int(contact(cl.Uint64(), nbrs))
 				if !informed.Get(j) {
@@ -135,91 +132,5 @@ func asyncFires(sc *Scratch, rate float64, limit int64) (msgs int64, newly int) 
 			}
 		}
 		wheel.Schedule(node, tick+gapTicks(cl, rate))
-	}
-}
-
-// asyncDelta is the incremental dispatch path: the adjacency is seeded from
-// one snapshot batch and maintained from per-step churn, so a step costs
-// O(firings + churn).
-func asyncDelta(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, rate float64, opts Opts, res *Result) {
-	n := sc.informed.Len()
-	sc.edges = dyngraph.AppendEdges(d, sc.edges[:0])
-	sc.adj.Reset(n)
-	sc.adj.AddEdges(sc.edges)
-	size := 1
-	mr, _ := db.(dyngraph.MoveReporter)
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		msgs, newly := asyncFires(sc, rate, int64(t+1)*TicksPerStep)
-		size += newly
-		if record(res, opts, n, size, t, msgs) {
-			return
-		}
-		d.Step()
-		sc.born, sc.died = db.AppendDeltas(sc.born[:0], sc.died[:0])
-		sc.adj.Apply(sc.born, sc.died)
-		sc.bornTotal += int64(len(sc.born))
-		sc.diedTotal += int64(len(sc.died))
-		if mr != nil {
-			sc.movedTotal += int64(mr.MovedLastStep())
-		}
-		sc.deltaSteps++
-	}
-}
-
-// asyncBatch rebuilds the adjacency from the flat snapshot batch every
-// step — the path for models with batch access but no delta stream.
-func asyncBatch(b dyngraph.Batcher, d dyngraph.Dynamic, sc *Scratch, rate float64, opts Opts, res *Result) {
-	n := sc.informed.Len()
-	size := 1
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		sc.edges = b.AppendEdges(sc.edges[:0])
-		sc.adj.Reset(n)
-		sc.adj.AddEdges(sc.edges)
-		msgs, newly := asyncFires(sc, rate, int64(t+1)*TicksPerStep)
-		size += newly
-		if record(res, opts, n, size, t, msgs) {
-			return
-		}
-		d.Step()
-	}
-}
-
-// asyncMember reads each firing node's neighbors from the model's own
-// per-node view — the fallback path, and the reference the adjacency
-// paths are pinned against.
-func asyncMember(d dyngraph.Dynamic, sc *Scratch, rate float64, opts Opts, res *Result) {
-	n := sc.informed.Len()
-	nr := newNeighborReader(d)
-	wheel, clocks, informed := sc.wheel, sc.clocks, sc.informed
-	size := 1
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		limit := int64(t+1) * TicksPerStep
-		var msgs int64
-		for {
-			node, tick, ok := wheel.PopBefore(limit)
-			if !ok {
-				break
-			}
-			cl := &clocks[node]
-			if informed.Get(int(node)) {
-				sc.nbrs = nr.append(int(node), sc.nbrs[:0])
-				if len(sc.nbrs) > 0 {
-					msgs++
-					j := int(contact(cl.Uint64(), sc.nbrs))
-					if !informed.Get(j) {
-						informed.Set(j)
-						size++
-					}
-				}
-			}
-			wheel.Schedule(node, tick+gapTicks(cl, rate))
-		}
-		if record(res, opts, n, size, t, msgs) {
-			return
-		}
-		d.Step()
 	}
 }

@@ -1,8 +1,8 @@
 package flood_test
 
-// Pins for the asynchronous Poisson-clock engine: the three dispatch paths
-// (delta-maintained adjacency, per-step rebuilt adjacency, per-node member
-// view) must produce byte-identical Results including the cost fields, the
+// Pins for the asynchronous Poisson-clock engine: runs fed by differently
+// ordered delta streams of the same snapshots must produce byte-identical
+// Results including the cost fields, the
 // trajectory must be a pure function of (graph realization, clockSeed), and
 // the rate parameter must obey the law it claims — λ-fold more firings per
 // step completes proportionally faster, and λ=1 lands in the same regime as
@@ -19,22 +19,18 @@ import (
 )
 
 // TestAsyncDispatchPathsAgree pins the order-insensitive contact draw: the
-// delta path (swap-remove perturbs neighbor order), the batch path (rebuilt
-// sorted-by-insertion order), and the member path (the model's own order)
-// must agree exactly, cost fields included.
+// model's native delta stream and the test-side Deltifier's sorted
+// snapshot diff leave the tracked adjacency in different neighbor orders,
+// and the runs must still agree exactly, cost fields included.
 func TestAsyncDispatchPathsAgree(t *testing.T) {
 	opts := flood.Opts{MaxSteps: 1 << 13, KeepTimeline: true}
 	for _, ms := range equivModels {
 		for _, seed := range []uint64{3, 77} {
 			const clockSeed = 0xA57C
 			native := flood.Async(model.MustBuild(ms, seed), 0, 1, clockSeed, opts)
-			batch := flood.Async(forceBatchScan{model.MustBuild(ms, seed)}, 0, 1, clockSeed, opts)
-			member := flood.Async(forceMemberScan{model.MustBuild(ms, seed)}, 0, 1, clockSeed, opts)
-			if !reflect.DeepEqual(native, batch) {
-				t.Errorf("%v seed %d: native path %+v != batch path %+v", ms, seed, native, batch)
-			}
-			if !reflect.DeepEqual(native, member) {
-				t.Errorf("%v seed %d: native path %+v != member path %+v", ms, seed, native, member)
+			deltified := flood.Async(flood.NewDeltifier(model.MustBuild(ms, seed)), 0, 1, clockSeed, opts)
+			if !reflect.DeepEqual(native, deltified) {
+				t.Errorf("%v seed %d: native stream %+v != deltified stream %+v", ms, seed, native, deltified)
 			}
 			checkCost(t, native)
 		}

@@ -1,23 +1,16 @@
 package flood_test
 
-// Fixed-seed equivalence pins of the bitset/scratch engine refactor AND
-// the incremental-dynamics (delta) refactor on top of it: every engine in
-// this package is re-run against a verbatim copy of its pre-refactor
-// implementation ([]bool informed sets, per-run allocation, incremental
-// size bookkeeping) over every registered model, and must return
-// byte-identical Results, timeline included. Because delta-capable models
-// steer flood.Run and Parsimonious onto the adjacency-backed incremental
-// engines, those paths are pinned here too — directly, via forced batch
-// fallback, and through the generic Deltifier adapter.
+// Fixed-seed equivalence pins of the deterministic engines: flooding and
+// parsimonious flooding are re-run against verbatim copies of their
+// original implementations ([]bool informed sets, per-run allocation, a
+// snapshot read every step) over every registered model, and must return
+// byte-identical Results, timeline included — both on the models' native
+// delta streams and through the test-side Deltifier.
 //
-// One deliberate behavior change is NOT covered by these pins: the
-// dyngraph.Subsample sampling scheme moved from one sequential RNG stream
-// to per-(node, epoch) derived streams so that its arc batch and its lazy
-// per-node view expose the same virtual graph. Randomized-push
-// trajectories at a fixed seed therefore differ from pre-refactor binaries
-// (same law, different draws); what is pinned here instead is that the new
-// directed arc-scan engine and the pre-refactor member-scan engine agree
-// exactly on the subsampled graph — the equivalence that scheme buys.
+// The randomized engines (k-push, pull, push–pull) index their draws into
+// the tracked adjacency, whose list order is not the order of any
+// snapshot, so no snapshot-reading reference replays their fixed-seed
+// draws. They are checked against their exact laws instead (law_test.go).
 
 import (
 	"reflect"
@@ -80,33 +73,17 @@ func refRecord(res *flood.Result, opts flood.Opts, n, size, t int) bool {
 	return false
 }
 
-func refNeighborSource(d dyngraph.Dynamic) func(i int, dst []int32) []int32 {
-	if l, ok := d.(dyngraph.NeighborLister); ok {
-		return l.AppendNeighbors
-	}
-	return func(i int, dst []int32) []int32 {
-		d.ForEachNeighbor(i, func(j int) {
-			dst = append(dst, int32(j))
-		})
-		return dst
-	}
-}
-
 func refRun(d dyngraph.Dynamic, source int, opts flood.Opts) flood.Result {
 	n := d.N()
 	informed, res, done := refStart(n, source, opts)
 	if done {
 		return res
 	}
-	if b, ok := d.(dyngraph.Batcher); ok {
-		refEdgeScan(b, d, informed, opts, &res)
-	} else {
-		refMemberScan(d, informed, source, opts, &res)
-	}
+	refEdgeScan(d, informed, opts, &res)
 	return res
 }
 
-func refEdgeScan(b dyngraph.Batcher, d dyngraph.Dynamic, informed []bool, opts flood.Opts, res *flood.Result) {
+func refEdgeScan(d dyngraph.Dynamic, informed []bool, opts flood.Opts, res *flood.Result) {
 	n := len(informed)
 	size := 1
 	pending := make([]bool, n)
@@ -114,7 +91,7 @@ func refEdgeScan(b dyngraph.Batcher, d dyngraph.Dynamic, informed []bool, opts f
 	var edges []dyngraph.Edge
 	maxSteps := refMaxSteps(opts)
 	for t := 0; t < maxSteps; t++ {
-		edges = b.AppendEdges(edges[:0])
+		edges = d.AppendEdges(edges[:0])
 		newly = newly[:0]
 		for _, e := range edges {
 			if informed[e.U] {
@@ -139,149 +116,12 @@ func refEdgeScan(b dyngraph.Batcher, d dyngraph.Dynamic, informed []bool, opts f
 	}
 }
 
-func refMemberScan(d dyngraph.Dynamic, informed []bool, source int, opts flood.Opts, res *flood.Result) {
-	n := len(informed)
-	neighbors := refNeighborSource(d)
-	members := make([]int32, 1, n)
-	members[0] = int32(source)
-	newly := make([]int32, 0, n)
-	var nbrs []int32
-	maxSteps := refMaxSteps(opts)
-	for t := 0; t < maxSteps; t++ {
-		newly = newly[:0]
-		for _, i := range members {
-			nbrs = neighbors(int(i), nbrs[:0])
-			for _, j := range nbrs {
-				if !informed[j] {
-					informed[j] = true
-					newly = append(newly, j)
-				}
-			}
-		}
-		members = append(members, newly...)
-		if refRecord(res, opts, n, len(members), t) {
-			return
-		}
-		d.Step()
-	}
-}
-
-// refPush is pre-refactor RandomizedPush: plain flooding on the subsampled
-// virtual graph. The old Run had no arc-scan, so the wrapper was flooded by
-// member-scan over its lazy per-node views.
-func refPush(d dyngraph.Dynamic, source, k int, r *rng.RNG, opts flood.Opts) flood.Result {
-	sub := dyngraph.NewSubsample(d, k, r)
-	n := sub.N()
-	informed, res, done := refStart(n, source, opts)
-	if done {
-		return res
-	}
-	refMemberScan(sub, informed, source, opts, &res)
-	return res
-}
-
-func refPull(d dyngraph.Dynamic, source int, r *rng.RNG, opts flood.Opts) flood.Result {
-	n := d.N()
-	informed, res, done := refStart(n, source, opts)
-	if done {
-		return res
-	}
-	neighbors := refNeighborSource(d)
-
-	size := 1
-	var nbrs []int32
-	newly := make([]int32, 0, n)
-	maxSteps := refMaxSteps(opts)
-	for t := 0; t < maxSteps; t++ {
-		newly = newly[:0]
-		for i := 0; i < n; i++ {
-			if informed[i] {
-				continue
-			}
-			nbrs = neighbors(i, nbrs[:0])
-			if len(nbrs) == 0 {
-				continue
-			}
-			if informed[nbrs[r.Intn(len(nbrs))]] {
-				newly = append(newly, int32(i))
-			}
-		}
-		for _, i := range newly {
-			informed[i] = true
-		}
-		size += len(newly)
-		if refRecord(&res, opts, n, size, t) {
-			return res
-		}
-		d.Step()
-	}
-	return res
-}
-
-func refPushPull(d dyngraph.Dynamic, source, k int, r *rng.RNG, opts flood.Opts) flood.Result {
-	n := d.N()
-	informed, res, done := refStart(n, source, opts)
-	if done {
-		return res
-	}
-	neighbors := refNeighborSource(d)
-
-	size := 1
-	pending := make([]bool, n)
-	newly := make([]int32, 0, n)
-	var nbrs []int32
-	maxSteps := refMaxSteps(opts)
-	for t := 0; t < maxSteps; t++ {
-		newly = newly[:0]
-		for i := 0; i < n; i++ {
-			nbrs = neighbors(i, nbrs[:0])
-			if len(nbrs) == 0 {
-				continue
-			}
-			if informed[i] {
-				if len(nbrs) <= k {
-					for _, j := range nbrs {
-						if !informed[j] && !pending[j] {
-							pending[j] = true
-							newly = append(newly, j)
-						}
-					}
-				} else {
-					for _, idx := range r.SampleDistinct(len(nbrs), k) {
-						if j := nbrs[idx]; !informed[j] && !pending[j] {
-							pending[j] = true
-							newly = append(newly, j)
-						}
-					}
-				}
-			} else if !pending[i] {
-				if informed[nbrs[r.Intn(len(nbrs))]] {
-					pending[i] = true
-					newly = append(newly, int32(i))
-				}
-			}
-		}
-		for _, j := range newly {
-			informed[j] = true
-			pending[j] = false
-		}
-		size += len(newly)
-		if refRecord(&res, opts, n, size, t) {
-			return res
-		}
-		d.Step()
-	}
-	return res
-}
-
 func refParsimonious(d dyngraph.Dynamic, source, active int, opts flood.Opts) flood.Result {
 	n := d.N()
 	informed, res, done := refStart(n, source, opts)
 	if done {
 		return res
 	}
-	neighbors := refNeighborSource(d)
-
 	expiry := make([]int32, n)
 	activeList := make([]int32, 1, n)
 	activeList[0] = int32(source)
@@ -289,13 +129,12 @@ func refParsimonious(d dyngraph.Dynamic, source, active int, opts flood.Opts) fl
 
 	size := 1
 	newly := make([]int32, 0, n)
-	var nbrs []int32
 	maxSteps := refMaxSteps(opts)
 	for t := 0; t < maxSteps; t++ {
 		newly = newly[:0]
+		snap := dyngraph.Snapshot(d)
 		for _, i := range activeList {
-			nbrs = neighbors(int(i), nbrs[:0])
-			for _, j := range nbrs {
+			for _, j := range snap.Neighbors(int(i)) {
 				if !informed[j] {
 					informed[j] = true
 					newly = append(newly, j)
@@ -332,7 +171,7 @@ func refParsimonious(d dyngraph.Dynamic, source, active int, opts flood.Opts) fl
 var equivModels = []model.Spec{
 	model.New("edgemeg").WithInt("n", 96).WithFloat("p", 0.01).WithFloat("q", 0.09),
 	model.New("edgemeg").WithInt("n", 64).WithFloat("p", 0.02).WithFloat("q", 0.18).WithBool("dense", true),
-	model.New("edgemeg").WithInt("n", 96).WithFloat("p", 0.01).WithFloat("q", 0.09).WithBool("fastchurn", true),
+	model.New("edgemeg").WithInt("n", 96).WithFloat("p", 0.01).WithFloat("q", 0.09).With("stream", "v2"),
 	model.New("edgemeg4").WithInt("n", 64),
 	model.New("waypoint").WithInt("n", 64).WithFloat("L", 12).WithFloat("r", 1.5),
 	model.New("direction").WithInt("n", 64).WithFloat("L", 12).WithFloat("r", 1.5),
@@ -350,30 +189,6 @@ func stripCost(r flood.Result) flood.Result {
 	return r
 }
 
-// forceMemberScan hides batch interfaces so the engine falls back to the
-// per-node path, while keeping NeighborLister visible to match how the old
-// engine saw the same model.
-type forceMemberScan struct{ d dyngraph.Dynamic }
-
-func (f forceMemberScan) N() int                                { return f.d.N() }
-func (f forceMemberScan) Step()                                 { f.d.Step() }
-func (f forceMemberScan) ForEachNeighbor(i int, fn func(j int)) { f.d.ForEachNeighbor(i, fn) }
-func (f forceMemberScan) AppendNeighbors(i int, dst []int32) []int32 {
-	return dyngraph.AppendNeighbors(f.d, i, dst)
-}
-
-// forceBatchScan hides DeltaBatcher (and the per-node view) while keeping
-// Batcher, pinning the flat-edge-scan path that models without delta
-// support still take — and that the delta engine must agree with exactly.
-type forceBatchScan struct{ d dyngraph.Dynamic }
-
-func (f forceBatchScan) N() int                                { return f.d.N() }
-func (f forceBatchScan) Step()                                 { f.d.Step() }
-func (f forceBatchScan) ForEachNeighbor(i int, fn func(j int)) { f.d.ForEachNeighbor(i, fn) }
-func (f forceBatchScan) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
-	return dyngraph.AppendEdges(f.d, dst)
-}
-
 func TestEnginesMatchPreRefactorReference(t *testing.T) {
 	opts := flood.Opts{MaxSteps: 1 << 14, KeepTimeline: true}
 	for _, ms := range equivModels {
@@ -387,44 +202,22 @@ func TestEnginesMatchPreRefactorReference(t *testing.T) {
 				name      string
 				got, want flood.Result
 			}{
-				// For delta-capable models (the edge-MEG family, static,
-				// traces) the first case exercises the incremental
-				// delta-scan engine against the pre-refactor reference.
 				{"flood", flood.Run(build(), 0, opts), refFlood},
-				{"flood/batch-scan",
-					flood.Run(forceBatchScan{build()}, 0, opts),
-					refFlood},
 				{"flood/deltified",
-					// The generic diff adapter must expose the same virtual
-					// graph as the model it wraps, whatever path Run picks.
-					flood.Run(dyngraph.NewDeltifier(build()), 0, opts),
+					// The test-side diff adapter exposes the same snapshots
+					// through a differently ordered delta stream.
+					flood.Run(flood.NewDeltifier(build()), 0, opts),
 					refFlood},
-				{"flood/member-scan",
-					flood.Run(forceMemberScan{build()}, 0, opts),
-					refRun(forceMemberScan{build()}, 0, opts)},
-				{"push/arc-scan-vs-member-scan",
-					flood.RandomizedPush(build(), 0, 2, rng.New(7), opts),
-					refPush(build(), 0, 2, rng.New(7), opts)},
-				{"pull",
-					flood.Pull(build(), 0, rng.New(11), opts),
-					refPull(build(), 0, rng.New(11), opts)},
-				{"pushpull",
-					flood.PushPull(build(), 0, 1, rng.New(13), opts),
-					refPushPull(build(), 0, 1, rng.New(13), opts)},
-				{"parsimonious",
-					// Delta-capable models take the incremental
-					// adjacency-backed window engine here.
-					flood.Parsimonious(build(), 0, 6, opts),
-					refPars},
+				{"parsimonious", flood.Parsimonious(build(), 0, 6, opts), refPars},
 				{"parsimonious/deltified",
-					flood.Parsimonious(dyngraph.NewDeltifier(build()), 0, 6, opts),
+					flood.Parsimonious(flood.NewDeltifier(build()), 0, 6, opts),
 					refPars},
 			}
 			for _, c := range cases {
 				// The references predate message-cost accounting, so the
 				// comparison strips the cost fields — the trajectory pins
 				// stay exact, and the cost fields have their own pins
-				// (cost_test.go conservation, async dispatch equivalence).
+				// (cost_test.go conservation, the deltified pins below).
 				if !reflect.DeepEqual(stripCost(c.got), c.want) {
 					t.Errorf("%v seed %d %s: refactored %+v != reference %+v",
 						ms, seed, c.name, c.got, c.want)
@@ -434,12 +227,12 @@ func TestEnginesMatchPreRefactorReference(t *testing.T) {
 	}
 }
 
-// TestMobilityDispatchEquivalence pins the incremental-mobility tentpole:
-// for every geometric model the native delta path (the dispatch flood.Run
-// and Parsimonious now pick, fed by the models' own AppendDeltas), the
-// forced batch path, and the generic Deltifier wrapper must produce
-// byte-identical Results at fixed seeds — including the PR 8 cost fields
-// and timelines, which stripCost hides in the pre-refactor pins above.
+// TestMobilityDispatchEquivalence pins the incremental mobility models:
+// for every geometric model, flooding, parsimonious flooding and async
+// push fed by the model's native AppendDeltas must produce byte-identical
+// Results to the same engines fed by the test-side Deltifier's
+// snapshot-diff stream — including the cost fields and timelines, which
+// stripCost hides in the reference pins above.
 func TestMobilityDispatchEquivalence(t *testing.T) {
 	opts := flood.Opts{MaxSteps: 1 << 14, KeepTimeline: true}
 	mobilitySpecs := []model.Spec{
@@ -457,22 +250,15 @@ func TestMobilityDispatchEquivalence(t *testing.T) {
 	for _, ms := range mobilitySpecs {
 		for _, seed := range []uint64{1, 7, 42, 1234} {
 			build := func() dyngraph.Dynamic { return model.MustBuild(ms, seed) }
-			if _, ok := build().(dyngraph.DeltaBatcher); !ok {
-				t.Fatalf("%v: expected a native DeltaBatcher", ms)
+			deltified := func() dyngraph.Dynamic { return flood.NewDeltifier(build()) }
+			if native, df := flood.Run(build(), 0, opts), flood.Run(deltified(), 0, opts); !reflect.DeepEqual(native, df) {
+				t.Errorf("%v seed %d: flood native %+v != deltified %+v", ms, seed, native, df)
 			}
-			native := flood.Run(build(), 0, opts)
-			if batch := flood.Run(forceBatchScan{build()}, 0, opts); !reflect.DeepEqual(native, batch) {
-				t.Errorf("%v seed %d: flood delta %+v != batch %+v", ms, seed, native, batch)
+			if native, df := flood.Parsimonious(build(), 0, 6, opts), flood.Parsimonious(deltified(), 0, 6, opts); !reflect.DeepEqual(native, df) {
+				t.Errorf("%v seed %d: parsimonious native %+v != deltified %+v", ms, seed, native, df)
 			}
-			if df := flood.Run(dyngraph.NewDeltifier(build()), 0, opts); !reflect.DeepEqual(native, df) {
-				t.Errorf("%v seed %d: flood delta %+v != deltified %+v", ms, seed, native, df)
-			}
-			pNative := flood.Parsimonious(build(), 0, 6, opts)
-			if pb := flood.Parsimonious(forceBatchScan{build()}, 0, 6, opts); !reflect.DeepEqual(pNative, pb) {
-				t.Errorf("%v seed %d: parsimonious delta %+v != batch %+v", ms, seed, pNative, pb)
-			}
-			if pd := flood.Parsimonious(dyngraph.NewDeltifier(build()), 0, 6, opts); !reflect.DeepEqual(pNative, pd) {
-				t.Errorf("%v seed %d: parsimonious delta %+v != deltified %+v", ms, seed, pNative, pd)
+			if native, df := flood.Async(build(), 0, 1, 9, opts), flood.Async(deltified(), 0, 1, 9, opts); !reflect.DeepEqual(native, df) {
+				t.Errorf("%v seed %d: async native %+v != deltified %+v", ms, seed, native, df)
 			}
 		}
 	}
@@ -514,18 +300,6 @@ func BenchmarkEngineOnlyPullBitset(b *testing.B) {
 	opts := flood.Opts{MaxSteps: 1 << 14, Scratch: flood.NewScratch()}
 	for i := 0; i < b.N; i++ {
 		if res := flood.Pull(d, 0, r, opts); !res.Completed {
-			b.Fatal("incomplete")
-		}
-	}
-}
-
-func BenchmarkEngineOnlyPullReference(b *testing.B) {
-	d := dyngraph.NewStatic(graph.Torus(32, 32))
-	r := rng.New(5)
-	b.ReportAllocs()
-	opts := flood.Opts{MaxSteps: 1 << 14}
-	for i := 0; i < b.N; i++ {
-		if res := refPull(d, 0, r, opts); !res.Completed {
 			b.Fatal("incomplete")
 		}
 	}

@@ -11,10 +11,13 @@
 //
 // Flooding semantics follow the paper exactly: I_0 = {s}, and a node j
 // becomes informed at time t+1 iff some edge of the snapshot E_t connects j
-// to a node of I_t. Because the graph changes every step, the engine
-// rescans every informed node each round — in a dynamic graph a node
-// informed long ago can meet an uninformed node at any later time, so
+// to a node of I_t. Because the graph changes every step, a node informed
+// long ago can meet an uninformed node at any later time, so
 // frontier-only propagation would be incorrect.
+//
+// Every engine reads the model through one contract: it follows the model
+// with the scratch's dyngraph.Tracker, reads neighbors from the tracked
+// Adjacency, and advances the model only through the Tracker.
 package flood
 
 import (
@@ -160,10 +163,12 @@ const DefaultMaxSteps = 1 << 20
 
 // start validates the source, readies the run's scratch (the caller's via
 // Opts, or fresh private state), initializes the informed set and the
-// Result for a run over n nodes (the source is informed at t = 0), and
-// reports done == true for the trivial single-node network. It is the
-// shared entry bookkeeping of every engine in this package.
-func start(n, source int, opts Opts) (sc *Scratch, res Result, done bool) {
+// Result for a run over d (the source is informed at t = 0), seeds the
+// tracked adjacency from d's current snapshot, and reports done == true
+// for the trivial single-node network. It is the shared entry bookkeeping
+// of every engine in this package.
+func start(d dyngraph.Dynamic, source int, opts Opts) (sc *Scratch, res Result, done bool) {
+	n := d.N()
 	if source < 0 || source >= n {
 		panic("flood: source out of range")
 	}
@@ -186,6 +191,7 @@ func start(n, source int, opts Opts) (sc *Scratch, res Result, done bool) {
 		res.Completed = true
 		return sc, res, true
 	}
+	sc.tr.Follow(d)
 	return sc, res, false
 }
 
@@ -220,124 +226,12 @@ func record(res *Result, opts Opts, n, size, t int, msgs int64) bool {
 	return false
 }
 
-// neighborReader is the cheapest per-node neighbor accessor d offers: the
-// native dyngraph.NeighborLister batch when implemented, else an adapter
-// over ForEachNeighbor. Engines that touch nodes individually (member-scan
-// flooding, pull, parsimonious, push–pull) build one per run, hoisting the
-// interface check out of their per-node hot loops; unlike a bound method
-// value, the plain struct keeps the lister path allocation-free.
-type neighborReader struct {
-	lister dyngraph.NeighborLister // nil when d does not implement it
-	d      dyngraph.Dynamic
-}
-
-func newNeighborReader(d dyngraph.Dynamic) neighborReader {
-	l, _ := d.(dyngraph.NeighborLister)
-	return neighborReader{lister: l, d: d}
-}
-
-// append appends node i's current neighbors to dst.
-func (nr neighborReader) append(i int, dst []int32) []int32 {
-	if nr.lister != nil {
-		return nr.lister.AppendNeighbors(i, dst)
-	}
-	return appendViaCallback(nr.d, i, dst)
-}
-
-// appendViaCallback adapts ForEachNeighbor. It lives outside
-// neighborReader.append so that the closure capturing dst — which costs a
-// heap cell per call — is only materialized on the callback path, keeping
-// the lister path allocation-free.
-func appendViaCallback(d dyngraph.Dynamic, i int, dst []int32) []int32 {
-	d.ForEachNeighbor(i, func(j int) {
-		dst = append(dst, int32(j))
-	})
-	return dst
-}
-
 // Run floods d from source and returns the result. It panics if source is
 // out of range (a programming error in the caller).
 //
-// The engine picks the cheapest snapshot access the model offers. Models
-// implementing dyngraph.DeltaBatcher are flooded by the incremental
-// engine: a persistent adjacency maintained from per-step churn plus an
-// active-set sweep that scans only neighborhoods which can still spread —
-// O(churn + frontier) per step instead of O(m). Models implementing only
-// dyngraph.Batcher are flooded by a linear scan of the flat edge batch —
-// one contiguous read per snapshot, no per-edge callbacks and no adjacency
-// materialization; directed virtual graphs implementing
-// dyngraph.ArcBatcher get the same scan with one-way propagation. All
-// other models are flooded by rescanning the informed set against per-node
-// neighbor batches. Every path computes the identical deterministic
-// process I_0 = {s}, I_{t+1} = I_t ∪ Γ_t(I_t), so Results agree exactly
-// for a given model state — pinned per path by the fixed-seed equivalence
-// tests.
-func Run(d dyngraph.Dynamic, source int, opts Opts) Result {
-	n := d.N()
-	sc, res, done := start(n, source, opts)
-	if done {
-		return res
-	}
-	if ab, ok := d.(dyngraph.ArcBatcher); ok {
-		runArcScan(ab, d, sc, opts, &res)
-	} else if db, ok := d.(dyngraph.DeltaBatcher); ok {
-		runDeltaScan(db, d, sc, opts, &res)
-	} else if b, ok := d.(dyngraph.Batcher); ok {
-		runEdgeScan(b, d, sc, opts, &res)
-	} else {
-		runMemberScan(d, sc, opts, &res)
-	}
-	return res
-}
-
-// runEdgeScan floods over the batch snapshot view: every step scans the
-// flat edge list once, marking the far side of every edge that crosses the
-// informed-set boundary in the pending bitset — a branch-light loop whose
-// membership tests are single-word mask probes, with no per-step dedup
-// bookkeeping because bit sets are idempotent. Pending bits are committed
-// into the informed set only at step end (Absorb), so the scan propagates
-// from I_t alone: chained same-step propagation would be wrong in a
-// dynamic graph.
-func runEdgeScan(b dyngraph.Batcher, d dyngraph.Dynamic, sc *Scratch, opts Opts, res *Result) {
-	// Hoist the bitset headers into locals: accessed through sc they would
-	// be reloaded after every store, since the compiler cannot prove the
-	// bit writes don't alias the scratch struct. The words arrays stay
-	// shared; only the headers are copied.
-	informed, pending := sc.informed, sc.pending
-	n := informed.Len()
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		sc.edges = b.AppendEdges(sc.edges[:0])
-		var msgs int64
-		for _, e := range sc.edges {
-			ui, vi := informed.Get(int(e.U)), informed.Get(int(e.V))
-			if ui {
-				msgs++
-				if !vi {
-					pending.Set(int(e.V))
-				}
-			}
-			if vi {
-				msgs++
-				if !ui {
-					pending.Set(int(e.U))
-				}
-			}
-		}
-		if record(res, opts, n, informed.Absorb(&pending), t, msgs) {
-			return
-		}
-		d.Step()
-	}
-}
-
-// runDeltaScan is the incremental flooding engine for models that expose
-// their per-step churn (dyngraph.DeltaBatcher). It seeds a persistent
-// adjacency from one snapshot batch, then per step (a) scans only the
-// ACTIVE nodes — informed nodes that may still have uninformed neighbors —
-// and (b) applies the model's born/died deltas to the adjacency instead of
-// rescanning the snapshot, for O(churn + Σ_{i active} deg i) work per step
-// instead of O(m).
+// The engine keeps an adjacency current from the model's per-step churn
+// and sweeps an active set that scans only neighborhoods which can still
+// spread — O(churn + frontier) per step instead of O(m).
 //
 // The active set makes the dynamic-graph rescan rule cheap without
 // breaking it: a node leaves the set only after a scan finds every current
@@ -346,13 +240,10 @@ func runEdgeScan(b dyngraph.Batcher, d dyngraph.Dynamic, sc *Scratch, opts Opts,
 // nodes never revert — so re-activating the informed endpoints of born
 // edges restores the invariant that every informed node with an uninformed
 // neighbor is scanned. In the saturation phase (Lemma 14) the active set
-// collapses to the few nodes adjacent to stragglers, which is where the
-// asymptotic win over the full edge scan comes from.
-//
-// The informed-set trajectory is the exact flooding process — identical to
-// the edge-scan and member-scan engines for a given model state, because
-// marking the uninformed neighbors of every informed node that has any is
-// the same set union regardless of scan order.
+// collapses to the few nodes adjacent to stragglers. Marking the
+// uninformed neighbors of every informed node that has any is the same set
+// union regardless of scan or neighbor order, so the trajectory is the
+// exact flooding process.
 //
 // The active and pending sets are two-level bitsets and the informed-set
 // size is tracked incrementally (AbsorbInto returns the step's new
@@ -360,11 +251,13 @@ func runEdgeScan(b dyngraph.Batcher, d dyngraph.Dynamic, sc *Scratch, opts Opts,
 // O(n/64): no flat sweep over the universe survives in the loop, which is
 // what keeps a million-node step proportional to churn + frontier once
 // the spreading process has localized.
-func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opts Opts, res *Result) {
+func Run(d dyngraph.Dynamic, source int, opts Opts) Result {
+	sc, res, done := start(d, source, opts)
+	if done {
+		return res
+	}
+	tr := &sc.tr
 	n := sc.informed.Len()
-	sc.edges = dyngraph.AppendEdges(d, sc.edges[:0])
-	sc.adj.Reset(n)
-	sc.adj.AddEdges(sc.edges)
 	sc.active.Reset(n)
 	sc.fresh.Reset(n)
 	// load maintains Σ_{i ∈ informed} deg(i) over the CURRENT adjacency —
@@ -372,18 +265,17 @@ func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opt
 	// endpoint of every edge transmits once per step, whether or not the
 	// active-set sweep visits it). Maintained incrementally from the same
 	// events the active set consumes: + deg of each newly informed node,
-	// ±1 per informed endpoint of each born/died edge — so the cost matches
-	// the full edge scan exactly without an O(m) rescan.
+	// ±1 per informed endpoint of each born/died edge — so the cost is
+	// exact without an O(m) rescan.
 	var load int64
 	// Seed the active set with the informed set (the source).
 	sc.queue = sc.informed.AppendMembers(sc.queue[:0])
 	size := len(sc.queue)
 	for _, i := range sc.queue {
 		sc.active.Set(int(i))
-		load += int64(sc.adj.Degree(int(i)))
+		load += int64(tr.Adj.Degree(int(i)))
 	}
 	informed, pending, active := sc.informed, &sc.fresh, &sc.active
-	mr, _ := db.(dyngraph.MoveReporter)
 	maxSteps := opts.maxSteps()
 	for t := 0; t < maxSteps; t++ {
 		msgs := load
@@ -391,7 +283,7 @@ func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opt
 		for _, ii := range sc.queue {
 			i := int(ii)
 			frontier := false
-			for _, j := range sc.adj.Neighbors(i) {
+			for _, j := range tr.Adj.Neighbors(i) {
 				if !informed.Get(int(j)) {
 					pending.Set(int(j))
 					frontier = true
@@ -409,21 +301,13 @@ func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opt
 		size += pending.AbsorbInto(&informed)
 		for _, f := range sc.newly {
 			active.Set(int(f))
-			load += int64(sc.adj.Degree(int(f)))
+			load += int64(tr.Adj.Degree(int(f)))
 		}
-		if record(res, opts, n, size, t, msgs) {
-			return
+		if record(&res, opts, n, size, t, msgs) {
+			return res
 		}
-		d.Step()
-		sc.born, sc.died = db.AppendDeltas(sc.born[:0], sc.died[:0])
-		sc.adj.Apply(sc.born, sc.died)
-		sc.bornTotal += int64(len(sc.born))
-		sc.diedTotal += int64(len(sc.died))
-		if mr != nil {
-			sc.movedTotal += int64(mr.MovedLastStep())
-		}
-		sc.deltaSteps++
-		for _, e := range sc.born {
+		tr.Step()
+		for _, e := range tr.Born {
 			if informed.Get(int(e.U)) {
 				active.Set(int(e.U))
 				load++
@@ -433,7 +317,7 @@ func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opt
 				load++
 			}
 		}
-		for _, e := range sc.died {
+		for _, e := range tr.Died {
 			if informed.Get(int(e.U)) {
 				load--
 			}
@@ -442,70 +326,35 @@ func runDeltaScan(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, opt
 			}
 		}
 	}
+	return res
 }
 
-// runArcScan is runEdgeScan for directed virtual graphs: arcs carry
-// information only from tail to head, so only U → V with U informed and V
-// not marks pending.
-func runArcScan(ab dyngraph.ArcBatcher, d dyngraph.Dynamic, sc *Scratch, opts Opts, res *Result) {
-	informed, pending := sc.informed, sc.pending
-	n := informed.Len()
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		sc.edges = ab.AppendArcs(sc.edges[:0])
-		var msgs int64
-		for _, e := range sc.edges {
-			if informed.Get(int(e.U)) {
-				msgs++ // an informed tail transmits along every arc it keeps
-				if !informed.Get(int(e.V)) {
-					pending.Set(int(e.V))
-				}
-			}
-		}
-		if record(res, opts, n, informed.Absorb(&pending), t, msgs) {
-			return
-		}
-		d.Step()
+// RandomizedPush runs the §5 randomized protocol: each informed node
+// contacts min(k, deg) distinct uniformly random current neighbors per
+// step. The paper reduces it to flooding on a virtual graph subsampled
+// afresh every step; this engine draws that subsample per informed node
+// from r as it goes, which is the same process. It panics if k <= 0.
+func RandomizedPush(d dyngraph.Dynamic, source, k int, r *rng.RNG, opts Opts) Result {
+	if k <= 0 {
+		panic("flood: RandomizedPush needs k > 0")
 	}
-}
-
-// runMemberScan floods by rescanning every informed node's current
-// neighbors — the fallback for models without batch snapshot access. The
-// member list is rebuilt each round from the informed bitset by word-level
-// iteration, and neighbors are marked pending and committed at step end,
-// like the scan engines.
-func runMemberScan(d dyngraph.Dynamic, sc *Scratch, opts Opts, res *Result) {
+	sc, res, done := start(d, source, opts)
+	if done {
+		return res
+	}
 	informed, pending := sc.informed, sc.pending
 	n := informed.Len()
-	nr := newNeighborReader(d)
 	maxSteps := opts.maxSteps()
 	for t := 0; t < maxSteps; t++ {
-		// Scan snapshot E_t for edges leaving the informed set.
 		sc.queue = informed.AppendMembers(sc.queue[:0])
 		var msgs int64
 		for _, i := range sc.queue {
-			sc.nbrs = nr.append(int(i), sc.nbrs[:0])
-			msgs += int64(len(sc.nbrs)) // one transmission per neighbor
-			for _, j := range sc.nbrs {
-				pending.Set(int(j))
-			}
+			msgs += sc.push(int(i), k, r, &pending)
 		}
-		if record(res, opts, n, informed.Absorb(&pending), t, msgs) {
-			return
+		if record(&res, opts, n, informed.Absorb(&pending), t, msgs) {
+			return res
 		}
-		d.Step()
+		sc.tr.Step()
 	}
-}
-
-// RandomizedPush floods d with the §5 randomized protocol: each informed
-// node contacts at most k uniformly random current neighbors per step. It
-// is implemented, as the paper suggests, as plain flooding on the virtual
-// subsampled dynamic graph — which implements dyngraph.ArcBatcher, so the
-// flood runs as a directed arc scan. With a Scratch in opts the
-// subsampled-graph wrapper itself is reused across trials.
-func RandomizedPush(d dyngraph.Dynamic, source, k int, r *rng.RNG, opts Opts) Result {
-	if opts.Scratch != nil {
-		return Run(opts.Scratch.subsample(d, k, r), source, opts)
-	}
-	return Run(dyngraph.NewSubsample(d, k, r), source, opts)
+	return res
 }

@@ -90,15 +90,18 @@ type onceThenEmpty struct {
 
 func (o *onceThenEmpty) N() int { return o.n }
 func (o *onceThenEmpty) Step()  { o.t++ }
-func (o *onceThenEmpty) ForEachNeighbor(i int, fn func(j int)) {
+func (o *onceThenEmpty) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 	if o.t == 0 {
 		// Perfect matching i <-> i^1.
-		fn(i ^ 1)
+		for i := int32(0); i+1 < int32(o.n); i += 2 {
+			dst = append(dst, dyngraph.Edge{U: i, V: i + 1})
+		}
 	}
+	return dst
 }
 
 func TestFloodUsesSnapshotBeforeStep(t *testing.T) {
-	d := &onceThenEmpty{n: 2}
+	d := NewDeltifier(&onceThenEmpty{n: 2})
 	r := Run(d, 0, Opts{MaxSteps: 5})
 	if !r.Completed || r.Time != 1 {
 		t.Fatalf("matching at t=0 should inform at t=1: %+v", r)
@@ -115,17 +118,15 @@ type dynamicLine struct {
 
 func (d *dynamicLine) N() int { return d.n }
 func (d *dynamicLine) Step()  { d.t++ }
-func (d *dynamicLine) ForEachNeighbor(i int, fn func(j int)) {
-	if i == d.t && i+1 < d.n {
-		fn(i + 1)
+func (d *dynamicLine) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
+	if d.t+1 < d.n {
+		dst = append(dst, dyngraph.Edge{U: int32(d.t), V: int32(d.t + 1)})
 	}
-	if i == d.t+1 && i-1 >= 0 {
-		fn(i - 1)
-	}
+	return dst
 }
 
 func TestFloodFollowsDynamicEdges(t *testing.T) {
-	d := &dynamicLine{n: 6}
+	d := NewDeltifier(&dynamicLine{n: 6})
 	r := Run(d, 0, Opts{MaxSteps: 20})
 	if !r.Completed || r.Time != 5 {
 		t.Fatalf("dynamic line flood: %+v", r)
@@ -138,21 +139,18 @@ type laterMeeting struct{ t int }
 
 func (d *laterMeeting) N() int { return 3 }
 func (d *laterMeeting) Step()  { d.t++ }
-func (d *laterMeeting) ForEachNeighbor(i int, fn func(j int)) {
-	switch {
-	case d.t == 0 && i == 0:
-		fn(1)
-	case d.t == 0 && i == 1:
-		fn(0)
-	case d.t == 5 && i == 0:
-		fn(2)
-	case d.t == 5 && i == 2:
-		fn(0)
+func (d *laterMeeting) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
+	switch d.t {
+	case 0:
+		dst = append(dst, dyngraph.Edge{U: 0, V: 1})
+	case 5:
+		dst = append(dst, dyngraph.Edge{U: 0, V: 2})
 	}
+	return dst
 }
 
 func TestFloodRescansAllInformed(t *testing.T) {
-	r := Run(&laterMeeting{}, 0, Opts{MaxSteps: 10})
+	r := Run(NewDeltifier(&laterMeeting{}), 0, Opts{MaxSteps: 10})
 	if !r.Completed || r.Time != 6 {
 		t.Fatalf("old informed node should spread at t=5: %+v", r)
 	}

@@ -19,16 +19,12 @@ func Parsimonious(d dyngraph.Dynamic, source, active int, opts Opts) Result {
 	if active <= 0 {
 		panic("flood: Parsimonious needs active > 0")
 	}
-	n := d.N()
-	sc, res, done := start(n, source, opts)
+	sc, res, done := start(d, source, opts)
 	if done {
 		return res
 	}
-	if db, ok := d.(dyngraph.DeltaBatcher); ok {
-		parsimoniousDelta(db, d, sc, source, active, opts, &res)
-		return res
-	}
-	nr := newNeighborReader(d)
+	adj := &sc.tr.Adj
+	n := sc.informed.Len()
 	informed := sc.informed
 
 	// expiry[i] is the last step at which node i still transmits; every
@@ -54,9 +50,9 @@ func Parsimonious(d dyngraph.Dynamic, source, active int, opts Opts) Result {
 		// next one — and keeps newly duplicate-free.
 		var msgs int64
 		for _, i := range activeList {
-			sc.nbrs = nr.append(int(i), sc.nbrs[:0])
-			msgs += int64(len(sc.nbrs))
-			for _, j := range sc.nbrs {
+			nbrs := adj.Neighbors(int(i))
+			msgs += int64(len(nbrs))
+			for _, j := range nbrs {
 				if !informed.Get(int(j)) {
 					informed.Set(int(j))
 					newly = append(newly, j)
@@ -88,73 +84,7 @@ func Parsimonious(d dyngraph.Dynamic, source, active int, opts Opts) Result {
 		if len(activeList) == 0 {
 			return res
 		}
-		d.Step()
+		sc.tr.Step()
 	}
 	return res
-}
-
-// parsimoniousDelta is the incremental variant for models that expose
-// their per-step churn: transmitters read their neighborhoods from a
-// persistent scratch adjacency maintained by delta application, so a step
-// costs O(churn + Σ_{i transmitting} deg i) with no snapshot rebuilds.
-// Neighbor order in the store differs from the model's own view, but the
-// protocol draws no random numbers and treats neighborhoods as sets, so
-// the informed-set trajectory — and the Result — is identical to the
-// per-node path (pinned by the fixed-seed equivalence tests).
-func parsimoniousDelta(db dyngraph.DeltaBatcher, d dyngraph.Dynamic, sc *Scratch, source, active int, opts Opts, res *Result) {
-	n := sc.informed.Len()
-	sc.edges = dyngraph.AppendEdges(d, sc.edges[:0])
-	sc.adj.Reset(n)
-	sc.adj.AddEdges(sc.edges)
-	informed := sc.informed
-
-	expiry := sc.expirySlice(n)
-	activeList := append(sc.queue[:0], int32(source))
-	expiry[source] = int32(active - 1)
-
-	size := 1
-	mr, _ := db.(dyngraph.MoveReporter)
-	maxSteps := opts.maxSteps()
-	for t := 0; t < maxSteps; t++ {
-		newly := sc.newly[:0]
-		var msgs int64
-		for _, i := range activeList {
-			nbrs := sc.adj.Neighbors(int(i))
-			msgs += int64(len(nbrs))
-			for _, j := range nbrs {
-				if !informed.Get(int(j)) {
-					informed.Set(int(j))
-					newly = append(newly, j)
-				}
-			}
-		}
-		keep := activeList[:0]
-		for _, i := range activeList {
-			if int(expiry[i]) > t {
-				keep = append(keep, i)
-			}
-		}
-		activeList = keep
-		for _, j := range newly {
-			expiry[j] = int32(t + active)
-			activeList = append(activeList, j)
-		}
-		sc.newly, sc.queue = newly[:0], activeList
-		size += len(newly)
-		if record(res, opts, n, size, t, msgs) {
-			return
-		}
-		if len(activeList) == 0 {
-			return
-		}
-		d.Step()
-		sc.born, sc.died = db.AppendDeltas(sc.born[:0], sc.died[:0])
-		sc.adj.Apply(sc.born, sc.died)
-		sc.bornTotal += int64(len(sc.born))
-		sc.diedTotal += int64(len(sc.died))
-		if mr != nil {
-			sc.movedTotal += int64(mr.MovedLastStep())
-		}
-		sc.deltaSteps++
-	}
 }

@@ -34,27 +34,24 @@ type blinker struct{ t int }
 
 func (b *blinker) N() int { return 3 }
 func (b *blinker) Step()  { b.t++ }
-func (b *blinker) ForEachNeighbor(i int, fn func(j int)) {
-	switch {
-	case b.t == 0 && i == 0:
-		fn(1)
-	case b.t == 0 && i == 1:
-		fn(0)
-	case b.t == 5 && i == 0:
-		fn(2)
-	case b.t == 5 && i == 2:
-		fn(0)
+func (b *blinker) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
+	switch b.t {
+	case 0:
+		dst = append(dst, dyngraph.Edge{U: 0, V: 1})
+	case 5:
+		dst = append(dst, dyngraph.Edge{U: 0, V: 2})
 	}
+	return dst
 }
 
 func TestParsimoniousCanStrand(t *testing.T) {
 	// Flooding completes (node 0 meets node 2 at t=5), but a 2-step
 	// activity window silences node 0 before the meeting: node 2 is
 	// stranded and the process dies.
-	if full := Run(&blinker{}, 0, Opts{MaxSteps: 10}); !full.Completed {
+	if full := Run(NewDeltifier(&blinker{}), 0, Opts{MaxSteps: 10}); !full.Completed {
 		t.Fatal("plain flooding should complete on the blinker")
 	}
-	res := Parsimonious(&blinker{}, 0, 2, Opts{MaxSteps: 10, KeepTimeline: true})
+	res := Parsimonious(NewDeltifier(&blinker{}), 0, 2, Opts{MaxSteps: 10, KeepTimeline: true})
 	if res.Completed {
 		t.Fatal("short-window parsimonious should strand node 2")
 	}
@@ -65,7 +62,7 @@ func TestParsimoniousCanStrand(t *testing.T) {
 
 func TestParsimoniousWindowCoversLateMeeting(t *testing.T) {
 	// A 6-step window keeps node 0 active through the t=5 meeting.
-	res := Parsimonious(&blinker{}, 0, 6, Opts{MaxSteps: 10})
+	res := Parsimonious(NewDeltifier(&blinker{}), 0, 6, Opts{MaxSteps: 10})
 	if !res.Completed || res.Time != 6 {
 		t.Fatalf("long-window parsimonious: %+v", res)
 	}
@@ -74,7 +71,7 @@ func TestParsimoniousWindowCoversLateMeeting(t *testing.T) {
 func TestParsimoniousDiesEarlyWithoutScanningToCap(t *testing.T) {
 	// Once all windows expire the run returns promptly (timeline length
 	// far below MaxSteps).
-	res := Parsimonious(&blinker{}, 0, 2, Opts{MaxSteps: 1 << 20, KeepTimeline: true})
+	res := Parsimonious(NewDeltifier(&blinker{}), 0, 2, Opts{MaxSteps: 1 << 20, KeepTimeline: true})
 	if res.Completed {
 		t.Fatal("should not complete")
 	}

@@ -21,21 +21,17 @@ import (
 // informed bitset word-wise, so fully-informed words (the common case in
 // the late phase pull is good at) cost one compare.
 //
-// Pull deliberately has no engine-side delta fast path: the r.Intn draw
-// indexes into the neighbor list, so the trajectory at a fixed seed
-// depends on neighbor ORDER, which a scratch-held delta-maintained
-// adjacency does not preserve. The incremental win lands model-side
-// instead — edge-MEG simulators keep their own neighbor lists live in
-// O(churn) per step (in rebuild-identical order), so the per-node batches
-// this engine reads no longer pay an O(m) per-step rebuild.
+// Each query is a uniform index into the node's list in the tracked
+// adjacency, so it names a uniform current neighbor whatever the list
+// order; the order only decides which neighbor a fixed seed's draw names.
 func Pull(d dyngraph.Dynamic, source int, r *rng.RNG, opts Opts) Result {
-	n := d.N()
-	sc, res, done := start(n, source, opts)
+	sc, res, done := start(d, source, opts)
 	if done {
 		return res
 	}
-	nr := newNeighborReader(d)
+	adj := &sc.tr.Adj
 	informed, pending := sc.informed, sc.pending
+	n := informed.Len()
 
 	maxSteps := opts.maxSteps()
 	for t := 0; t < maxSteps; t++ {
@@ -46,11 +42,11 @@ func Pull(d dyngraph.Dynamic, source int, r *rng.RNG, opts Opts) Result {
 		// is the zero-waste engine: Useless stays 0 by construction.
 		var msgs int64
 		for _, i := range sc.queue {
-			sc.nbrs = nr.append(int(i), sc.nbrs[:0])
-			if len(sc.nbrs) == 0 {
+			nbrs := adj.Neighbors(int(i))
+			if len(nbrs) == 0 {
 				continue
 			}
-			if informed.Get(int(sc.nbrs[r.Intn(len(sc.nbrs))])) {
+			if informed.Get(int(nbrs[r.Intn(len(nbrs))])) {
 				msgs++
 				pending.Set(int(i))
 			}
@@ -58,7 +54,7 @@ func Pull(d dyngraph.Dynamic, source int, r *rng.RNG, opts Opts) Result {
 		if record(&res, opts, n, informed.Absorb(&pending), t, msgs) {
 			return res
 		}
-		d.Step()
+		sc.tr.Step()
 	}
 	return res
 }

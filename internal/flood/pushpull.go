@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/dyngraph"
 	"repro/internal/rng"
 )
@@ -23,23 +24,19 @@ import (
 // nodes draw their push targets, uninformed nodes their pull target — so
 // equal (graph realization, RNG stream) pairs replay exactly.
 //
-// Like Pull, this engine keeps reading the model's own neighbor view
-// rather than a scratch-held delta adjacency: both the k-subset draw and
-// the pull draw index into the neighbor list, pinning the fixed-seed
-// trajectory to the model's neighbor order. Edge-MEG models serve that
-// view incrementally in O(churn) per step, which is where the delta
-// refactor speeds this engine up.
+// Both draws index into the tracked adjacency's lists, as in Pull and
+// RandomizedPush, whose push half this engine shares.
 func PushPull(d dyngraph.Dynamic, source, k int, r *rng.RNG, opts Opts) Result {
 	if k <= 0 {
 		panic("flood: PushPull needs k > 0")
 	}
-	n := d.N()
-	sc, res, done := start(n, source, opts)
+	sc, res, done := start(d, source, opts)
 	if done {
 		return res
 	}
-	nr := newNeighborReader(d)
+	adj := &sc.tr.Adj
 	informed, pending := sc.informed, sc.pending
+	n := informed.Len()
 
 	maxSteps := opts.maxSteps()
 	for t := 0; t < maxSteps; t++ {
@@ -48,30 +45,17 @@ func PushPull(d dyngraph.Dynamic, source, k int, r *rng.RNG, opts Opts) Result {
 		// queried neighbor is informed and answers, like the Pull engine.
 		var msgs int64
 		for i := 0; i < n; i++ {
-			sc.nbrs = nr.append(i, sc.nbrs[:0])
-			if len(sc.nbrs) == 0 {
+			nbrs := adj.Neighbors(i)
+			if len(nbrs) == 0 {
 				continue
 			}
 			if informed.Get(i) {
-				// Push: contact at most k distinct random neighbors.
-				if len(sc.nbrs) <= k {
-					msgs += int64(len(sc.nbrs))
-					for _, j := range sc.nbrs {
-						pending.Set(int(j))
-					}
-				} else {
-					msgs += int64(k)
-					sc.idx = r.SampleDistinctInto(len(sc.nbrs), k, sc.idx[:0])
-					for _, idx := range sc.idx {
-						pending.Set(int(sc.nbrs[idx]))
-					}
-				}
+				msgs += sc.push(i, k, r, &pending)
 			} else if !pending.Get(i) {
-				// Pull: query one random neighbor's start-of-step state.
-				// A node already pushed to this step skips its pull (and
-				// its RNG draw), preserving the engine's historical
-				// random-stream consumption.
-				if informed.Get(int(sc.nbrs[r.Intn(len(sc.nbrs))])) {
+				// Pull: query one random neighbor's start-of-step state. A
+				// node already pushed to this step is informed anyway, so it
+				// skips its pull and the draw.
+				if informed.Get(int(nbrs[r.Intn(len(nbrs))])) {
 					msgs++
 					pending.Set(i)
 				}
@@ -80,7 +64,19 @@ func PushPull(d dyngraph.Dynamic, source, k int, r *rng.RNG, opts Opts) Result {
 		if record(&res, opts, n, informed.Absorb(&pending), t, msgs) {
 			return res
 		}
-		d.Step()
+		sc.tr.Step()
 	}
 	return res
+}
+
+// push delivers informed node i's transmissions for one step — the §5
+// push shared by RandomizedPush and PushPull: i contacts min(k, deg i)
+// distinct uniform current neighbors drawn from r, marking them pending,
+// and the call returns the number of messages sent.
+func (sc *Scratch) push(i, k int, r *rng.RNG, pending *bitset.Set) int64 {
+	sc.sample = sc.tr.Adj.Sample(i, k, r, sc.sample[:0])
+	for _, j := range sc.sample {
+		pending.Set(int(j))
+	}
+	return int64(len(sc.sample))
 }

@@ -8,12 +8,12 @@ import (
 )
 
 // Scratch is the reusable working state of one spreading run: the informed
-// and pending bitsets, the snapshot edge buffer, the per-node neighbor
-// buffer, the member/active queues, and (for k-push) the subsampled-graph
-// wrapper. Every engine in this package draws its state from a Scratch, so
-// a caller that runs many trials — internal/study gives each worker one —
-// pays the allocation cost once and every later trial runs the hot loop
-// with zero heap allocations (asserted by TestFloodRunZeroAlloc*).
+// and pending bitsets, the tracked adjacency, the member/active queues and
+// the sampling buffer. Every engine in this package draws its state from a
+// Scratch, so a caller that runs many trials — internal/study gives each
+// worker one — pays the allocation cost once and every later trial runs
+// the hot loop with zero heap allocations (asserted by the *ZeroAlloc
+// tests).
 //
 // A Scratch may be reused freely across sequential runs of any engines and
 // any models (each run resets exactly the state it uses), but never shared
@@ -27,52 +27,35 @@ type Scratch struct {
 	// happen.
 	informed bitset.Set
 	pending  bitset.Set
-	// edges receives the flat snapshot batch (edge-scan and arc-scan).
-	edges []dyngraph.Edge
-	// nbrs receives one node's neighbor batch (member-scan, pull,
-	// push–pull, parsimonious).
-	nbrs []int32
-	// queue holds the node list driving a round: informed members
-	// (member-scan), uninformed nodes (pull), or active transmitters
-	// (parsimonious).
+	// queue holds the node list driving a round: informed members (k-push),
+	// uninformed nodes (pull), active transmitters (flood, parsimonious).
 	queue []int32
 	// newly collects nodes informed this round when the engine needs them
-	// individually (parsimonious window bookkeeping).
+	// individually (flood activation, parsimonious window bookkeeping).
 	newly []int32
 	// expiry is parsimonious' per-node last-transmission step.
 	expiry []int32
-	// idx is the SampleDistinctInto buffer of the push–pull fan-out draw.
-	idx []int
-	// sub is the reusable subsampled-graph wrapper of RandomizedPush.
-	sub *dyngraph.Subsample
-	// adj is the persistent neighbor store of the delta fast paths: seeded
-	// from one snapshot batch at run start, then maintained in place from
-	// the model's per-step churn (dyngraph.DeltaBatcher), so the engine
-	// never rescans unchanged edges.
-	adj dyngraph.Adjacency
+	// sample receives one node's k-push contacts.
+	sample []int32
+	// tr follows the model a run floods: its Adjacency, seeded from one
+	// snapshot batch and maintained from the model's per-step churn, is
+	// where every engine reads neighbors. Its churn counters accumulate
+	// across every run sharing this scratch; internal/study harvests them
+	// into the born_per_step/died_per_step/moved_per_step telemetry gauges.
+	tr dyngraph.Tracker
 	// active marks informed nodes that may still have uninformed neighbors
-	// — the only nodes the delta flood engine scans each step. A node
+	// — the only nodes the flood engine scans each step. A node
 	// leaves the set when a scan finds its neighborhood fully informed and
 	// re-enters only when a born edge touches it. Two-level: the per-step
 	// member sweep walks O(active words), not O(n/64) — at n = 10^6 the
 	// active set collapses to a handful of nodes for most of the run and a
 	// flat sweep would dominate the step.
 	active bitset.TwoLevel
-	// fresh is the delta engine's pending set — the nodes reached during
+	// fresh is the flood engine's pending set — the nodes reached during
 	// the current step. Two-level for the same reason as active: listing
 	// and committing the step's few newly informed nodes must not cost a
 	// walk over the whole universe.
 	fresh bitset.TwoLevel
-	// born and died receive the per-step churn batches.
-	born, died []dyngraph.Edge
-	// bornTotal/diedTotal/movedTotal/deltaSteps accumulate the delta
-	// engines' churn stream across every run sharing this scratch: edges
-	// born, edges died, nodes moved (models exposing
-	// dyngraph.MoveReporter), and model steps consumed. internal/study
-	// harvests them into the born_per_step/died_per_step/moved_per_step
-	// telemetry gauges. Plain counters on the owning worker's scratch — no
-	// atomics on the hot path.
-	bornTotal, diedTotal, movedTotal, deltaSteps int64
 	// wheel is the async engine's event scheduler; clocks its per-node
 	// Poisson-clock RNG streams. Both are sized lazily by the first async
 	// run and reused across trials like every other buffer.
@@ -87,18 +70,14 @@ func NewScratch() *Scratch { return &Scratch{} }
 // Bytes returns the heap bytes currently retained by the scratch's
 // buffers — the number a telemetry gauge reports as the per-worker memory
 // footprint of the spreading engine. It is an accounting sum over backing
-// array capacities (bitset words, edge and index buffers, adjacency lists,
-// subsample caches), not a runtime measurement, so it is cheap enough to
-// call between trials but is NOT part of the zero-alloc hot path contract.
+// array capacities (bitset words, index buffers, the tracked adjacency),
+// not a runtime measurement, so it is cheap enough to call between trials
+// but is NOT part of the zero-alloc hot path contract.
 func (sc *Scratch) Bytes() int64 {
 	b := sc.informed.Bytes() + sc.pending.Bytes() + sc.active.Bytes() + sc.fresh.Bytes()
-	b += int64(cap(sc.edges))*8 + int64(cap(sc.born))*8 + int64(cap(sc.died))*8
-	b += int64(cap(sc.nbrs))*4 + int64(cap(sc.queue))*4 + int64(cap(sc.newly))*4 + int64(cap(sc.expiry))*4
-	b += int64(cap(sc.idx)) * 8
-	b += sc.adj.Bytes()
-	if sc.sub != nil {
-		b += sc.sub.Bytes()
-	}
+	b += int64(cap(sc.queue))*4 + int64(cap(sc.newly))*4 + int64(cap(sc.expiry))*4
+	b += int64(cap(sc.sample)) * 4
+	b += sc.tr.Bytes()
 	if sc.wheel != nil {
 		b += sc.wheel.Bytes()
 	}
@@ -106,14 +85,14 @@ func (sc *Scratch) Bytes() int64 {
 	return b
 }
 
-// ChurnTotals returns the cumulative churn the delta engines streamed
-// through this scratch across every run that shared it: edges born, edges
-// died, nodes moved (0 unless the model reports motion via
+// ChurnTotals returns the cumulative churn the engines streamed through
+// this scratch across every run that shared it: edges born, edges died,
+// nodes moved (0 unless the model reports motion via
 // dyngraph.MoveReporter), and model steps consumed. internal/study turns
 // the totals into the born_per_step/died_per_step/moved_per_step
 // telemetry gauges.
 func (sc *Scratch) ChurnTotals() (born, died, moved, steps int64) {
-	return sc.bornTotal, sc.diedTotal, sc.movedTotal, sc.deltaSteps
+	return sc.tr.Totals()
 }
 
 // reset prepares the scratch for a run over n nodes. Only the bitsets need
@@ -122,17 +101,6 @@ func (sc *Scratch) ChurnTotals() (born, died, moved, steps int64) {
 func (sc *Scratch) reset(n int) {
 	sc.informed.Reset(n)
 	sc.pending.Reset(n)
-}
-
-// subsample returns a subsampled view of d with fan-out k, reusing the
-// scratch-held wrapper across trials when possible.
-func (sc *Scratch) subsample(d dyngraph.Dynamic, k int, r *rng.RNG) *dyngraph.Subsample {
-	if sc.sub == nil {
-		sc.sub = dyngraph.NewSubsample(d, k, r)
-	} else {
-		sc.sub.Reset(d, k, r)
-	}
-	return sc.sub
 }
 
 // expirySlice returns the expiry buffer sized to n. Values are garbage

@@ -9,7 +9,7 @@ import (
 // edges. The cell list checks each candidate pair once, so producing the
 // whole snapshot costs half of what per-node radius queries from every
 // node would; the pair scratch lives in the cell list itself, so warm
-// batch views never reallocate.
+// batches never reallocate.
 func appendCellEdges(cells *geometry.CellList, dst []dyngraph.Edge) []dyngraph.Edge {
 	for _, p := range cells.Pairs() {
 		dst = append(dst, dyngraph.Edge{U: p[0], V: p[1]})
@@ -17,32 +17,17 @@ func appendCellEdges(cells *geometry.CellList, dst []dyngraph.Edge) []dyngraph.E
 	return dst
 }
 
-// AppendEdges implements dyngraph.Batcher via the cell list.
+// AppendEdges implements dyngraph.Dynamic via the cell list.
 func (w *Waypoint) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 	return appendCellEdges(w.cells, dst)
 }
 
-// AppendNeighbors implements dyngraph.NeighborLister.
-func (w *Waypoint) AppendNeighbors(i int, dst []int32) []int32 {
-	return w.cells.AppendWithin(i, dst)
-}
-
-// AppendEdges implements dyngraph.Batcher via the cell list.
+// AppendEdges implements dyngraph.Dynamic via the cell list.
 func (d *Direction) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 	return appendCellEdges(d.cells, dst)
 }
 
-// AppendNeighbors implements dyngraph.NeighborLister.
-func (d *Direction) AppendNeighbors(i int, dst []int32) []int32 {
-	return d.cells.AppendWithin(i, dst)
-}
-
-// AppendEdges implements dyngraph.Batcher via the cell list.
+// AppendEdges implements dyngraph.Dynamic via the cell list.
 func (w *RegionWaypoint) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 	return appendCellEdges(w.cells, dst)
-}
-
-// AppendNeighbors implements dyngraph.NeighborLister.
-func (w *RegionWaypoint) AppendNeighbors(i int, dst []int32) []int32 {
-	return w.cells.AppendWithin(i, dst)
 }

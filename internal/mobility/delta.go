@@ -10,7 +10,7 @@ import (
 // models (Waypoint, Direction, RegionWaypoint). An edge can only flip when
 // an endpoint moved, so each step compares the old and new within-radius
 // sets of just the moved nodes against the 3×3 cell neighborhood instead of
-// diffing full snapshots (the Deltifier's O(m log m) sort-merge):
+// diffing full snapshots (an O(m log m) sort-merge):
 //
 //  1. the model stages every node's new position into next (writing
 //     next[i] == pos[i] for nodes that stay put), preserving its exact RNG

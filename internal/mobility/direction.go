@@ -103,11 +103,6 @@ func (d *Direction) Step() {
 	d.delta.commit(d.pos, d.cells, d.params.R*d.params.R)
 }
 
-// ForEachNeighbor implements dyngraph.Dynamic.
-func (d *Direction) ForEachNeighbor(i int, fn func(j int)) {
-	d.cells.ForEachWithin(i, fn)
-}
-
 // Positions returns current positions (shared slice; do not modify).
 func (d *Direction) Positions() []geometry.Point { return d.pos }
 

@@ -64,12 +64,10 @@ func TestWaypointNeighborsWithinRadius(t *testing.T) {
 	p := WaypointParams{N: 100, L: 10, R: 1.5, VMin: 0.5, VMax: 1}
 	w := NewWaypoint(p, InitSteadyState, rng.New(7))
 	for step := 0; step < 10; step++ {
-		for i := 0; i < p.N; i++ {
-			w.ForEachNeighbor(i, func(j int) {
-				if d := geometry.Dist(w.Positions()[i], w.Positions()[j]); d > 1.5 {
-					t.Fatalf("neighbor at distance %v > R", d)
-				}
-			})
+		for _, e := range w.AppendEdges(nil) {
+			if d := geometry.Dist(w.Positions()[e.U], w.Positions()[e.V]); d > 1.5 {
+				t.Fatalf("neighbor at distance %v > R", d)
+			}
 		}
 		w.Step()
 	}
@@ -248,15 +246,13 @@ func TestWalkSamePointConnection(t *testing.T) {
 	// With 100 nodes on 9 points, same-point neighbors must exist and be
 	// exactly the co-located nodes.
 	found := false
-	for i := 0; i < 100; i++ {
-		ri, ci := w.PositionOf(i)
-		w.ForEachNeighbor(i, func(j int) {
-			rj, cj := w.PositionOf(j)
-			if ri != rj || ci != cj {
-				t.Fatalf("connected nodes at different points")
-			}
-			found = true
-		})
+	for _, e := range w.AppendEdges(nil) {
+		ri, ci := w.PositionOf(int(e.U))
+		rj, cj := w.PositionOf(int(e.V))
+		if ri != rj || ci != cj {
+			t.Fatalf("connected nodes at different points")
+		}
+		found = true
 	}
 	if !found {
 		t.Fatal("no co-located nodes among 100 on 9 points")
@@ -294,12 +290,10 @@ func TestDirectionNeighborsWithinRadius(t *testing.T) {
 	p := DirectionParams{N: 80, L: 8, R: 1.2, Speed: 0.5, Turn: 0.2}
 	d := NewDirection(p, rng.New(47))
 	for step := 0; step < 10; step++ {
-		for i := 0; i < p.N; i++ {
-			d.ForEachNeighbor(i, func(j int) {
-				if dist := geometry.Dist(d.Positions()[i], d.Positions()[j]); dist > 1.2 {
-					t.Fatalf("neighbor at distance %v", dist)
-				}
-			})
+		for _, e := range d.AppendEdges(nil) {
+			if dist := geometry.Dist(d.Positions()[e.U], d.Positions()[e.V]); dist > 1.2 {
+				t.Fatalf("neighbor at distance %v", dist)
+			}
 		}
 		d.Step()
 	}

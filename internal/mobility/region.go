@@ -152,10 +152,5 @@ func (w *RegionWaypoint) Step() {
 	w.delta.commit(w.pos, w.cells, w.radius*w.radius)
 }
 
-// ForEachNeighbor implements dyngraph.Dynamic.
-func (w *RegionWaypoint) ForEachNeighbor(i int, fn func(j int)) {
-	w.cells.ForEachWithin(i, fn)
-}
-
 // Positions returns current positions (shared; do not modify).
 func (w *RegionWaypoint) Positions() []geometry.Point { return w.pos }

@@ -179,12 +179,6 @@ func (w *Waypoint) Step() {
 	w.delta.commit(w.pos, w.cells, w.params.R*w.params.R)
 }
 
-// ForEachNeighbor implements dyngraph.Dynamic: neighbors are nodes within
-// distance R.
-func (w *Waypoint) ForEachNeighbor(i int, fn func(j int)) {
-	w.cells.ForEachWithin(i, fn)
-}
-
 // WarmUp advances the simulation steps times, used to approach the
 // stationary regime from InitUniform. A common choice is several multiples
 // of MixingTimeEstimate().

@@ -10,38 +10,61 @@ import (
 	_ "repro/internal/model/all"
 )
 
-// deltify returns d as a DeltaBatcher-capable Dynamic: the model itself
-// when it implements the interface natively (the edge-MEG family, static,
-// traces, and — since the incremental mobility work — the geometric
-// mobility and node-MEG models) and the generic diff adapter otherwise.
-// Stepping must go through the returned value.
-func deltify(d dyngraph.Dynamic) dyngraph.Dynamic {
-	if _, ok := d.(dyngraph.DeltaBatcher); ok {
-		return d
+// deltifier is the test-side oracle for native delta streams: it wraps a
+// model and recomputes each step's churn by diffing consecutive sorted
+// snapshot batches, ignoring the model's own AppendDeltas. The wrapper
+// owns the clock.
+type deltifier struct {
+	d         dyngraph.Dynamic
+	prev, cur []dyngraph.Edge
+}
+
+func newDeltifier(d dyngraph.Dynamic) *deltifier {
+	return &deltifier{d: d, cur: sortedEdges(d.AppendEdges(nil))}
+}
+
+func (df *deltifier) Step() {
+	df.d.Step()
+	df.prev, df.cur = df.cur, sortedEdges(df.d.AppendEdges(nil))
+}
+
+// AppendDeltas merges the two sorted snapshots.
+func (df *deltifier) AppendDeltas(born, died []dyngraph.Edge) (b, d []dyngraph.Edge) {
+	less := func(x, y dyngraph.Edge) bool { return x.U < y.U || x.U == y.U && x.V < y.V }
+	i, j := 0, 0
+	for i < len(df.prev) || j < len(df.cur) {
+		switch {
+		case j == len(df.cur) || i < len(df.prev) && less(df.prev[i], df.cur[j]):
+			died = append(died, df.prev[i])
+			i++
+		case i == len(df.prev) || less(df.cur[j], df.prev[i]):
+			born = append(born, df.cur[j])
+			j++
+		default:
+			i++
+			j++
+		}
 	}
-	return dyngraph.NewDeltifier(d)
+	return born, died
 }
 
 // TestAdjacencyAppliedDeltasMatchSnapshots is the randomized cross-model
 // pin of the incremental dynamics API: for every registered model, a
 // dyngraph.Adjacency seeded from the initial snapshot batch and then
 // maintained purely by AppendDeltas application must describe, after
-// every step, exactly the edge set a fresh snapshot batch reports. Native
-// DeltaBatcher implementations and the generic Deltifier adapter are both
-// exercised (each model through whichever path a consumer would get).
+// every step, exactly the edge set a fresh snapshot batch reports.
 func TestAdjacencyAppliedDeltasMatchSnapshots(t *testing.T) {
 	for _, name := range model.Names() {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []uint64{2, 31} {
-				d := deltify(model.MustBuild(specFor(name), seed))
-				db := d.(dyngraph.DeltaBatcher)
+				d := model.MustBuild(specFor(name), seed)
 				var adj dyngraph.Adjacency
 				adj.Reset(d.N())
 				adj.AddEdges(dyngraph.AppendEdges(d, nil))
 				var born, died []dyngraph.Edge
 				for step := 1; step <= 60; step++ {
 					d.Step()
-					born, died = db.AppendDeltas(born[:0], died[:0])
+					born, died = d.AppendDeltas(born[:0], died[:0])
 					adj.Apply(born, died)
 					got := sortedEdges(adj.AppendEdges(nil))
 					want := sortedEdges(dyngraph.AppendEdges(d, nil))
@@ -65,9 +88,9 @@ func TestAdjacencyAppliedDeltasMatchSnapshots(t *testing.T) {
 	}
 }
 
-// TestDeltifierMatchesNativeDeltas cross-checks the two delta sources on
-// every model that has both: wrapping a same-seed copy in the generic
-// sorted-diff adapter must yield step-by-step churn identical (as sets) to
+// TestDeltifierMatchesNativeDeltas cross-checks every model's native
+// delta stream against the test-side oracle: wrapping a same-seed copy in
+// the sorted-diff deltifier must yield step-by-step churn identical (as sets) to
 // the simulator's native AppendDeltas. For the geometric mobility and
 // node-MEG models this pins the incremental two-pass churn computation
 // (died against the pre-move index, born against the post-move one,
@@ -75,18 +98,14 @@ func TestAdjacencyAppliedDeltasMatchSnapshots(t *testing.T) {
 func TestDeltifierMatchesNativeDeltas(t *testing.T) {
 	for _, name := range model.Names() {
 		spec := specFor(name)
-		if _, ok := model.MustBuild(spec, 5).(dyngraph.DeltaBatcher); !ok {
-			continue
-		}
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []uint64{5, 77} {
 				native := model.MustBuild(spec, seed)
-				wrapped := dyngraph.NewDeltifier(model.MustBuild(spec, seed))
-				ndb := native.(dyngraph.DeltaBatcher)
+				wrapped := newDeltifier(model.MustBuild(spec, seed))
 				for step := 1; step <= 40; step++ {
 					native.Step()
 					wrapped.Step()
-					nb, nd := ndb.AppendDeltas(nil, nil)
+					nb, nd := native.AppendDeltas(nil, nil)
 					wb, wd := wrapped.AppendDeltas(nil, nil)
 					if !reflect.DeepEqual(sortedEdges(nb), sortedEdges(wb)) {
 						t.Fatalf("seed %d step %d: native born %v != diffed born %v", seed, step, nb, wb)

@@ -264,30 +264,10 @@ func (s *Sim) WarmUp(steps int) {
 	}
 }
 
-// ForEachNeighbor implements dyngraph.Dynamic.
-func (s *Sim) ForEachNeighbor(i int, fn func(j int)) {
-	ui := s.states[i]
-	if s.enum != nil {
-		for _, v := range s.enum.NeighborStates(int(ui)) {
-			for _, j := range s.buckets[v] {
-				if int(j) != i {
-					fn(int(j))
-				}
-			}
-		}
-		return
-	}
-	for j, uj := range s.states {
-		if j != i && s.conn.Connected(int(ui), int(uj)) {
-			fn(j)
-		}
-	}
-}
-
-// AppendEdges implements dyngraph.Batcher. With a NeighborEnumerator the
+// AppendEdges implements dyngraph.Dynamic. With a NeighborEnumerator the
 // scan visits each node's compatible state buckets and keeps the j > i
 // half, so every unordered pair is distance-checked once; without one it
-// falls back to the O(n²) pair scan the callback path would also pay.
+// falls back to the O(n²) pair scan.
 func (s *Sim) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 	if s.enum != nil {
 		for i, ui := range s.states {
@@ -307,27 +287,6 @@ func (s *Sim) AppendEdges(dst []dyngraph.Edge) []dyngraph.Edge {
 			if s.conn.Connected(ui, int(s.states[j])) {
 				dst = append(dst, dyngraph.Edge{U: int32(i), V: int32(j)})
 			}
-		}
-	}
-	return dst
-}
-
-// AppendNeighbors implements dyngraph.NeighborLister.
-func (s *Sim) AppendNeighbors(i int, dst []int32) []int32 {
-	ui := s.states[i]
-	if s.enum != nil {
-		for _, v := range s.enum.NeighborStates(int(ui)) {
-			for _, j := range s.buckets[v] {
-				if int(j) != i {
-					dst = append(dst, j)
-				}
-			}
-		}
-		return dst
-	}
-	for j, uj := range s.states {
-		if j != i && s.conn.Connected(int(ui), int(uj)) {
-			dst = append(dst, int32(j))
 		}
 	}
 	return dst

@@ -2,8 +2,10 @@ package nodemeg
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/dyngraph"
 	"repro/internal/flood"
 	"repro/internal/graph"
 	"repro/internal/markov"
@@ -127,17 +129,11 @@ func TestEnumAndScanAgree(t *testing.T) {
 			if a.State(i) != b.State(i) {
 				t.Fatal("same-seed sims diverged")
 			}
-			na := map[int]bool{}
-			a.ForEachNeighbor(i, func(j int) { na[j] = true })
-			nb := map[int]bool{}
-			b.ForEachNeighbor(i, func(j int) { nb[j] = true })
-			if len(na) != len(nb) {
-				t.Fatalf("neighbor counts differ at node %d: %d vs %d", i, len(na), len(nb))
-			}
-			for j := range na {
-				if !nb[j] {
-					t.Fatalf("neighbor sets differ at node %d", i)
-				}
+		}
+		ga, gb := dyngraph.Snapshot(a), dyngraph.Snapshot(b)
+		for i := 0; i < 40; i++ {
+			if na, nb := ga.Neighbors(i), gb.Neighbors(i); !slices.Equal(na, nb) {
+				t.Fatalf("neighbor sets differ at node %d: %v vs %v", i, na, nb)
 			}
 		}
 		a.Step()

@@ -32,8 +32,8 @@ func New(seed uint64) *RNG {
 
 // Reseed re-initializes the generator in place to the stream New(seed)
 // would produce, without allocating. Hot paths that need many short-lived
-// derived streams (per-node, per-epoch sampling in dyngraph.Subsample)
-// keep one RNG value and Reseed it instead of calling New per draw.
+// derived streams (the async engine's per-node clocks) keep one RNG value
+// and Reseed it instead of calling New per draw.
 func (r *RNG) Reseed(seed uint64) { r.state = seed }
 
 // mix64 is the SplitMix64 output function.

@@ -230,8 +230,8 @@ func Trials(factory Factory, trials int, opts TrialsOpts) []flood.Result {
 			if opts.ScratchBytes != nil {
 				atomicMax(opts.ScratchBytes, wopts.Scratch.Bytes())
 			}
-			// Harvest the delta engines' churn stream — one read per worker
-			// drain, off the trial hot path, like the scratch footprint.
+			// Harvest the engines' churn stream — one read per worker drain,
+			// off the trial hot path, like the scratch footprint.
 			if b, d, m, s := wopts.Scratch.ChurnTotals(); s > 0 {
 				churnBorn.Add(b)
 				churnDied.Add(d)
@@ -272,9 +272,9 @@ func ScratchHighWater() int64 { return scratchHighWater.Load() }
 var churnBorn, churnDied, churnMoved, churnSteps atomic.Int64
 
 // ChurnBornPerStep returns the mean number of edges born per model step
-// across every delta-engine trial the process has run (rounded to the
-// nearest integer) — the born_per_step telemetry gauge source. Zero until
-// a pooled delta-engine trial completes, like ScratchHighWater.
+// across every pooled trial the process has run, whatever its protocol
+// (rounded to the nearest integer) — the born_per_step telemetry gauge
+// source. Zero until a pooled trial completes, like ScratchHighWater.
 func ChurnBornPerStep() int64 { return ratioRounded(&churnBorn) }
 
 // ChurnDiedPerStep is ChurnBornPerStep for edge deaths (died_per_step).

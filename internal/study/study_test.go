@@ -34,7 +34,7 @@ func baseStudy() study.Study {
 // one flood.Scratch across all its trials, this also pins that results
 // never depend on how trials are packed onto warm scratches.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	for _, ptext := range []string{"flood", "push:k=2", "pull", "pushpull:k=1", "parsimonious:active=8", "async:rate=1"} {
+	for _, ptext := range []string{"flood", "push:k=1", "push:k=2", "pull", "pushpull:k=1", "pushpull:k=2", "parsimonious:active=8", "async:rate=1"} {
 		pspec, err := protocol.Parse(ptext)
 		if err != nil {
 			t.Fatal(err)
