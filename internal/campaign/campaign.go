@@ -52,15 +52,6 @@ var ErrUnknown = errors.New("campaign: unknown campaign")
 // layer maps it to 409; retry after the leases complete or expire.
 var ErrBusy = errors.New("campaign: campaign has active leases")
 
-// cellState is the lifecycle of one grid cell on the server.
-type cellState uint8
-
-const (
-	cellPending cellState = iota // never leased, or lease expired/released
-	cellLeased                   // leased to a worker, lease unexpired
-	cellDone                     // a valid record is checkpointed
-)
-
 // Cell is the wire form of one leased work unit: everything a worker
 // needs to execute the cell with study.Run. Model and Protocol are
 // canonical spec strings (the same convention sweep files use).
@@ -98,6 +89,14 @@ type lease struct {
 	worker  string
 	cell    int // index into the campaign's grid
 	expires time.Time
+}
+
+// entry is one grid cell's ledger entry, the only place the cell's state
+// lives: the cell is done iff rec is set, leased iff lease is set, and
+// pending otherwise. A done cell never holds a lease.
+type entry struct {
+	rec   *study.CellRecord // the accepted record; later duplicates replace it
+	lease *lease            // the current lease, also indexed by token in leases
 }
 
 // Progress is a point-in-time snapshot of a campaign, served by
@@ -170,15 +169,14 @@ type Campaign struct {
 	keys  []study.Key
 	index map[study.Key]int
 
-	mu       sync.Mutex
-	state    []cellState
-	leases   map[string]*lease // token -> lease (only current, unexpired-or-not-yet-swept)
-	byCell   []string          // cell index -> current token ("" when none)
-	done     map[study.Key]study.CellRecord
-	ckpt     *os.File // nil when the manager is memory-only
-	created  time.Time
-	finished time.Time // zero until all cells are done
-	doneWall int64     // sum of wall_ms over done cells (first completion per cell)
+	mu        sync.Mutex
+	cells     []entry           // grid index -> ledger entry
+	leases    map[string]*lease // token -> the live lease some cells[i].lease holds
+	doneCells int               // entries with a record
+	ckpt      *os.File          // nil when the manager is memory-only
+	created   time.Time
+	finished  time.Time // zero until all cells are done
+	doneWall  int64     // sum of wall_ms over done cells (first completion per cell)
 
 	// workers holds per-worker heartbeats; counters are the lifetime event
 	// totals Metrics reports (in-memory only, like the lease table).
@@ -201,10 +199,8 @@ func newCampaign(id string, sw study.Sweep, done map[study.Key]study.CellRecord,
 		sweep:   sw,
 		keys:    keys,
 		index:   make(map[study.Key]int, len(keys)),
-		state:   make([]cellState, len(keys)),
+		cells:   make([]entry, len(keys)),
 		leases:  make(map[string]*lease),
-		byCell:  make([]string, len(keys)),
-		done:    make(map[study.Key]study.CellRecord, len(keys)),
 		ckpt:    ckpt,
 		created: now,
 		workers: make(map[string]*workerStats),
@@ -217,11 +213,11 @@ func newCampaign(id string, sw study.Sweep, done map[study.Key]study.CellRecord,
 		if !ok {
 			continue // a stale record from an edited sweep: ignored, not served
 		}
-		c.state[i] = cellDone
-		c.done[k] = rec
+		c.cells[i].rec = &rec
+		c.doneCells++
 		c.doneWall += rec.WallMS
 	}
-	if c.doneCountLocked() == len(keys) {
+	if c.doneCells == len(keys) {
 		c.finished = now
 	}
 	return c
@@ -248,19 +244,36 @@ func (c *Campaign) cellPayload(i int) Cell {
 
 // expireLocked returns every cell whose lease has lapsed to pending.
 func (c *Campaign) expireLocked(now time.Time) {
-	for token, l := range c.leases {
-		if now.Before(l.expires) {
-			continue
-		}
-		delete(c.leases, token)
-		c.expiries++
-		if c.byCell[l.cell] == token {
-			c.byCell[l.cell] = ""
-			if c.state[l.cell] == cellLeased {
-				c.state[l.cell] = cellPending
-			}
+	for _, l := range c.leases {
+		if !now.Before(l.expires) {
+			c.retireLocked(l.cell)
+			c.expiries++
 		}
 	}
+}
+
+// retireLocked drops cell i's current lease, if any, from its entry and
+// from the token index — the one way a lease ends, so the two never
+// disagree.
+func (c *Campaign) retireLocked(i int) {
+	if l := c.cells[i].lease; l != nil {
+		delete(c.leases, l.token)
+		c.cells[i].lease = nil
+	}
+}
+
+// countsLocked expires lapsed leases and reads the ledger's partition of
+// the grid.
+func (c *Campaign) countsLocked(now time.Time) (done, leased, pending int) {
+	c.expireLocked(now)
+	return c.doneCells, len(c.leases), len(c.cells) - c.doneCells - len(c.leases)
+}
+
+// counts is countsLocked under the campaign lock.
+func (c *Campaign) counts(now time.Time) (done, leased, pending int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.countsLocked(now)
 }
 
 // touchWorkerLocked updates the worker's heartbeat ("" names no worker —
@@ -279,17 +292,6 @@ func (c *Campaign) touchWorkerLocked(worker string, now time.Time) *workerStats 
 	return ws
 }
 
-// doneCountLocked counts completed cells.
-func (c *Campaign) doneCountLocked() int {
-	n := 0
-	for _, s := range c.state {
-		if s == cellDone {
-			n++
-		}
-	}
-	return n
-}
-
 // lease grants the first pending cell (grid order) to worker for ttl,
 // expiring lapsed leases first. ok is false when no cell is pending —
 // which means either the campaign is complete or every remaining cell is
@@ -297,15 +299,17 @@ func (c *Campaign) doneCountLocked() int {
 func (c *Campaign) lease(worker string, ttl time.Duration, now time.Time) (Lease, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked(now)
-	for i, s := range c.state {
-		if s != cellPending {
+	if _, _, pending := c.countsLocked(now); pending == 0 {
+		return Lease{}, false
+	}
+	for i := range c.cells {
+		e := &c.cells[i]
+		if e.rec != nil || e.lease != nil {
 			continue
 		}
 		token := newToken()
-		c.state[i] = cellLeased
-		c.byCell[i] = token
-		c.leases[token] = &lease{token: token, worker: worker, cell: i, expires: now.Add(ttl)}
+		e.lease = &lease{token: token, worker: worker, cell: i, expires: now.Add(ttl)}
+		c.leases[token] = e.lease
 		c.leaseCount++
 		c.touchWorkerLocked(worker, now)
 		return Lease{
@@ -331,27 +335,26 @@ func (c *Campaign) complete(token string, rec study.CellRecord, now time.Time) (
 	if err := c.sweep.CheckRecord(rec); err != nil {
 		return false, err
 	}
-	key := rec.Key()
-	i := c.index[key] // CheckRecord proved membership
-	// Attribute the completion before the lease disappears: a stale token
-	// (expired, or a resubmitted duplicate) no longer names a worker, so
-	// the completion still counts but credits no heartbeat.
+	i := c.index[rec.Key()] // CheckRecord proved membership
+	e := &c.cells[i]
+	// Attribute the completion before the lease disappears. Only the
+	// token of this cell's current lease names a worker: a stale token
+	// (expired, or a resubmitted duplicate) or one leased for another cell
+	// still counts the completion but credits no heartbeat, and another
+	// cell's lease stays with its holder.
 	var worker string
-	if l, ok := c.leases[token]; ok {
-		worker = l.worker
+	if e.lease != nil && e.lease.token == token {
+		worker = e.lease.worker
 	}
 	// Whatever lease is out on this cell — this worker's, or a re-lease
 	// granted after this worker was presumed dead — the cell is done now.
-	if cur := c.byCell[i]; cur != "" {
-		delete(c.leases, cur)
-		c.byCell[i] = ""
-	}
-	delete(c.leases, token)
-	fresh = c.state[i] != cellDone
+	c.retireLocked(i)
+	fresh = e.rec == nil
 	if fresh {
 		// Only the first completion counts toward doneWall so MeanWallMS
 		// reflects per-cell cost, not duplicated work.
 		c.doneWall += rec.WallMS
+		c.doneCells++
 	} else {
 		c.duplicates++
 	}
@@ -360,12 +363,11 @@ func (c *Campaign) complete(token string, rec study.CellRecord, now time.Time) (
 		ws.completed++
 		ws.wallMS += rec.WallMS
 	}
-	c.state[i] = cellDone
-	c.done[key] = rec // later duplicate wins, matching checkpoint replay
+	e.rec = &rec // later duplicate wins, matching checkpoint replay
 	if err := c.appendLocked(rec); err != nil {
 		return fresh, err
 	}
-	if c.finished.IsZero() && c.doneCountLocked() == len(c.keys) {
+	if c.finished.IsZero() && c.doneCells == len(c.cells) {
 		c.finished = now
 	}
 	return fresh, nil
@@ -399,15 +401,9 @@ func (c *Campaign) release(token string, now time.Time) bool {
 	if !ok {
 		return false
 	}
-	delete(c.leases, token)
+	c.retireLocked(l.cell)
 	c.releases++
 	c.touchWorkerLocked(l.worker, now)
-	if c.byCell[l.cell] == token {
-		c.byCell[l.cell] = ""
-		if c.state[l.cell] == cellLeased {
-			c.state[l.cell] = cellPending
-		}
-	}
 	return true
 }
 
@@ -419,18 +415,8 @@ func (c *Campaign) progress(now time.Time) Progress {
 }
 
 func (c *Campaign) progressLocked(now time.Time) Progress {
-	c.expireLocked(now)
-	p := Progress{ID: c.id, Cells: len(c.keys)}
-	for _, s := range c.state {
-		switch s {
-		case cellDone:
-			p.Done++
-		case cellLeased:
-			p.Leased++
-		default:
-			p.Pending++
-		}
-	}
+	p := Progress{ID: c.id, Cells: len(c.cells)}
+	p.Done, p.Leased, p.Pending = c.countsLocked(now)
 	p.Complete = p.Done == p.Cells
 	end := now
 	if p.Complete && !c.finished.IsZero() {
@@ -475,26 +461,16 @@ func (c *Campaign) metrics(now time.Time) Metrics {
 	}
 }
 
-// activeLeases counts unexpired leases — the guard Delete checks so a
-// campaign is never yanked out from under a working worker.
-func (c *Campaign) activeLeases(now time.Time) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked(now)
-	return len(c.leases)
-}
-
 // meanWallMS returns the observed mean per-cell wall time, 0 when no cell
 // has completed yet. The manager uses it to scale lease TTLs to the
 // campaign's actual cell cost.
 func (c *Campaign) meanWallMS() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	done := c.doneCountLocked()
-	if done == 0 {
+	if c.doneCells == 0 {
 		return 0
 	}
-	return float64(c.doneWall) / float64(done)
+	return float64(c.doneWall) / float64(c.doneCells)
 }
 
 // records returns the completed cells' records in grid order — the input
@@ -504,10 +480,10 @@ func (c *Campaign) meanWallMS() float64 {
 func (c *Campaign) records() []study.CellRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	recs := make([]study.CellRecord, 0, len(c.done))
-	for _, k := range c.keys {
-		if rec, ok := c.done[k]; ok {
-			recs = append(recs, rec)
+	recs := make([]study.CellRecord, 0, c.doneCells)
+	for _, e := range c.cells {
+		if e.rec != nil {
+			recs = append(recs, *e.rec)
 		}
 	}
 	return recs

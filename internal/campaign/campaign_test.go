@@ -276,6 +276,38 @@ func TestCompletionWithoutLease(t *testing.T) {
 	}
 }
 
+// TestCompletionWithForeignToken: a completion carrying another cell's
+// token retires only the completed cell's lease and credits no worker.
+// The token's own lease stays with its holder, who can still release it,
+// and the released cell is the next one leased — it is not stranded as
+// leased with no lease left to expire.
+func TestCompletionWithForeignToken(t *testing.T) {
+	m, clock := newTestManager(t, time.Minute)
+	c, _ := m.Submit(testSweep())
+	l0, _ := m.Lease("w0")
+	l1, _ := m.Lease("w1")
+	if _, err := m.Complete(c.ID(), l1.Token, recordFor(t, l0.Cell)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Release(c.ID(), l1.Token); err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(2 * time.Minute)
+	p, _ := m.Progress(c.ID())
+	if p.Done != 1 || p.Leased != 0 || p.Pending != 3 {
+		t.Fatalf("progress = %+v, want Done:1 Leased:0 Pending:3", p)
+	}
+	for _, wp := range p.Workers {
+		if wp.Completed != 0 {
+			t.Fatalf("worker %s credited with a completion made under a foreign token", wp.Worker)
+		}
+	}
+	l, status := m.Lease("w2")
+	if status != StatusLeased || l.Cell.Key() != l1.Cell.Key() {
+		t.Fatalf("next lease = %q %s, want cell 1 (%s)", status, l.Cell.Key(), l1.Cell.Key())
+	}
+}
+
 // TestAdaptiveLeaseTTL: once cells complete with wall_ms, lease TTLs
 // stretch to leaseWallFactor × the observed mean.
 func TestAdaptiveLeaseTTL(t *testing.T) {

@@ -120,10 +120,10 @@ func NewManager(opts Options) (*Manager, error) {
 func (m *Manager) cellTotals() (t struct{ done, leased, pending int64 }) {
 	now := m.now()
 	for _, c := range m.Campaigns() {
-		p := c.progress(now)
-		t.done += int64(p.Done)
-		t.leased += int64(p.Leased)
-		t.pending += int64(p.Pending)
+		done, leased, pending := c.counts(now)
+		t.done += int64(done)
+		t.leased += int64(leased)
+		t.pending += int64(pending)
 	}
 	return t
 }
@@ -251,7 +251,7 @@ func (m *Manager) Lease(worker string) (Lease, LeaseStatus) {
 		if l, ok := c.lease(worker, ttl, now); ok {
 			return l, StatusLeased
 		}
-		if !c.progress(now).Complete {
+		if done, _, _ := c.counts(now); done < len(c.cells) {
 			allDone = false
 		}
 	}
@@ -336,7 +336,7 @@ func (m *Manager) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("%w %q", ErrUnknown, id)
 	}
-	if n := c.activeLeases(m.now()); n > 0 {
+	if _, n, _ := c.counts(m.now()); n > 0 {
 		return fmt.Errorf("%w: %d unexpired leases on %s", ErrBusy, n, id)
 	}
 	delete(m.campaigns, id)

@@ -1,13 +1,12 @@
 package study
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/internal/jsonl"
 	"repro/internal/stats"
 )
 
@@ -174,44 +173,28 @@ func ReadCheckpoint(r io.Reader) ([]CellRecord, error) {
 // prefix: the offset just past the last intact record, where an appender
 // must resume so a kill-severed partial line is overwritten rather than
 // glued onto (see OpenCheckpoint).
-func scanCheckpoint(r io.Reader) (records []CellRecord, validLen int64, err error) {
-	br := bufio.NewReader(r)
-	var pendingErr error // a bad line is fatal only if another line follows
-	line := 0
-	for {
-		text, readErr := br.ReadBytes('\n')
-		if len(text) > 0 {
-			line++
-			if pendingErr != nil {
-				return nil, 0, pendingErr
-			}
-			pendingErr = func() error {
-				trimmed := bytes.TrimSpace(text)
-				if len(trimmed) == 0 {
-					return nil
-				}
-				var rec CellRecord
-				if err := json.Unmarshal(trimmed, &rec); err != nil {
-					return fmt.Errorf("study: checkpoint line %d: %w", line, err)
-				}
-				if err := rec.Validate(); err != nil {
-					return fmt.Errorf("study: checkpoint line %d: %w", line, err)
-				}
-				records = append(records, rec)
-				return nil
-			}()
-			if pendingErr == nil {
-				validLen += int64(len(text))
-			}
+func scanCheckpoint(r io.Reader) ([]CellRecord, int64, error) {
+	var records []CellRecord
+	validLen, err := jsonl.Scan(r, "study", "checkpoint", decodeRecords(&records))
+	if err != nil {
+		return nil, 0, err
+	}
+	return records, validLen, nil
+}
+
+// decodeRecords returns the checkpoint line decoder: it appends each line's
+// record to *records once the record parses and passes Validate.
+func decodeRecords(records *[]CellRecord) jsonl.Decoder {
+	return func(line int, text []byte) error {
+		var rec CellRecord
+		if err := json.Unmarshal(text, &rec); err != nil {
+			return fmt.Errorf("study: checkpoint line %d: %w", line, err)
 		}
-		if readErr == io.EOF {
-			// A pending error on the final line is the kill signature:
-			// drop the line, report the intact prefix.
-			return records, validLen, nil
+		if err := rec.Validate(); err != nil {
+			return fmt.Errorf("study: checkpoint line %d: %w", line, err)
 		}
-		if readErr != nil {
-			return nil, 0, fmt.Errorf("study: reading checkpoint: %w", readErr)
-		}
+		*records = append(*records, rec)
+		return nil
 	}
 }
 
@@ -240,38 +223,10 @@ func LoadCheckpoint(path string) (map[Key]CellRecord, error) {
 // instead of gluing onto the fragment and corrupting the file for every
 // later load. The caller owns closing the file.
 func OpenCheckpoint(path string) (*os.File, map[Key]CellRecord, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	var records []CellRecord
+	f, _, err := jsonl.Open(path, "study", "checkpoint", decodeRecords(&records))
 	if err != nil {
 		return nil, nil, err
-	}
-	records, validLen, err := scanCheckpoint(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("study: truncating partial checkpoint line in %s: %w", path, err)
-	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if validLen > 0 {
-		// A kill can sever exactly the final record's trailing newline:
-		// the record is intact (and counted), but appending after it would
-		// glue two JSON objects onto one line. Repair the separator.
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], validLen-1); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if last[0] != '\n' {
-			if _, err := f.Write([]byte{'\n'}); err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-		}
 	}
 	return f, Index(records), nil
 }

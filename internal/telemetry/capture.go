@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/jsonl"
 )
 
 // The capture file format: one JSON object per line, each either a full
@@ -117,40 +117,12 @@ type captureLine struct {
 // recoverable state — the first new append always writes a full reference,
 // so the resumed file stays decodable end to end.
 func OpenCapture(path string, opts CaptureOptions) (*Capture, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	var samples []Sample
+	f, size, err := jsonl.Open(path, "telemetry", "capture", decodeSamples(&samples))
 	if err != nil {
 		return nil, err
 	}
-	_, validLen, err := scanCapture(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("telemetry: truncating partial capture line in %s: %w", path, err)
-	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if validLen > 0 {
-		// A kill can sever exactly the trailing newline of an intact
-		// final line; repair the separator before appending.
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], validLen-1); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if last[0] != '\n' {
-			if _, err := f.Write([]byte{'\n'}); err != nil {
-				f.Close()
-				return nil, err
-			}
-			validLen++
-		}
-	}
-	return &Capture{path: path, opts: opts.withDefaults(), f: f, size: validLen}, nil
+	return &Capture{path: path, opts: opts.withDefaults(), f: f, size: size}, nil
 }
 
 // Append encodes the sample (reference or delta, per the rules above),
@@ -291,59 +263,44 @@ func ReadCapture(r io.Reader) ([]Sample, error) {
 // scanCapture is ReadCapture plus the byte length of the valid prefix —
 // the offset just past the last intact line, where OpenCapture truncates
 // so a resumed file stays self-consistent.
-func scanCapture(r io.Reader) (samples []Sample, validLen int64, err error) {
-	br := bufio.NewReader(r)
+func scanCapture(r io.Reader) ([]Sample, int64, error) {
+	var samples []Sample
+	validLen, err := jsonl.Scan(r, "telemetry", "capture", decodeSamples(&samples))
+	if err != nil {
+		return nil, 0, err
+	}
+	return samples, validLen, nil
+}
+
+// decodeSamples returns the capture line decoder: it replays each ref or
+// delta line onto the decoded state of the previous line and appends the
+// resulting absolute sample to *samples.
+func decodeSamples(samples *[]Sample) jsonl.Decoder {
 	var cur map[string]int64 // decoded state of the last intact line
 	var curTS int64
-	var pendingErr error // a bad line is fatal only if another line follows
-	line := 0
-	for {
-		text, readErr := br.ReadBytes('\n')
-		if len(text) > 0 {
-			line++
-			if pendingErr != nil {
-				return nil, 0, pendingErr
+	return func(line int, text []byte) error {
+		var obj captureLine
+		if err := json.Unmarshal(text, &obj); err != nil {
+			return fmt.Errorf("telemetry: capture line %d: %w", line, err)
+		}
+		switch {
+		case obj.Ref != nil && obj.Delta == nil:
+			cur = cloneValues(obj.Ref.V)
+			curTS = obj.Ref.TS
+		case obj.Delta != nil && obj.Ref == nil:
+			if cur == nil {
+				return fmt.Errorf("telemetry: capture line %d: delta with no preceding reference", line)
 			}
-			pendingErr = func() error {
-				trimmed := bytes.TrimSpace(text)
-				if len(trimmed) == 0 {
-					return nil
-				}
-				var obj captureLine
-				if err := json.Unmarshal(trimmed, &obj); err != nil {
-					return fmt.Errorf("telemetry: capture line %d: %w", line, err)
-				}
-				switch {
-				case obj.Ref != nil && obj.Delta == nil:
-					cur = cloneValues(obj.Ref.V)
-					curTS = obj.Ref.TS
-				case obj.Delta != nil && obj.Ref == nil:
-					if cur == nil {
-						return fmt.Errorf("telemetry: capture line %d: delta with no preceding reference", line)
-					}
-					cur = cloneValues(cur)
-					for name, dv := range obj.Delta.V {
-						cur[name] += dv
-					}
-					curTS += obj.Delta.DT
-				default:
-					return fmt.Errorf("telemetry: capture line %d: want exactly one of ref/d", line)
-				}
-				samples = append(samples, Sample{TimeMS: curTS, Values: cur})
-				return nil
-			}()
-			if pendingErr == nil {
-				validLen += int64(len(text))
+			cur = cloneValues(cur)
+			for name, dv := range obj.Delta.V {
+				cur[name] += dv
 			}
+			curTS += obj.Delta.DT
+		default:
+			return fmt.Errorf("telemetry: capture line %d: want exactly one of ref/d", line)
 		}
-		if readErr == io.EOF {
-			// A pending error on the final line is the kill signature:
-			// drop the line, report the intact prefix.
-			return samples, validLen, nil
-		}
-		if readErr != nil {
-			return nil, 0, fmt.Errorf("telemetry: reading capture: %w", readErr)
-		}
+		*samples = append(*samples, Sample{TimeMS: curTS, Values: cur})
+		return nil
 	}
 }
 
