@@ -145,9 +145,12 @@
 // slack semantics as the CI baseline gate. See docs/TELEMETRY.md.
 //
 // The v9 layer scales the sparse stationary regime to n = 10⁶ on one
-// box. The edgemeg simulator's alive-pair position map and per-step
-// exclude map became one open-addressing rank index (power-of-two
-// slots, linear probing, backward-shift deletion); dyngraph.Adjacency
+// box. The edgemeg simulator keeps no alive-pair position map and no
+// per-step exclude map: deaths leave the alive slice by position, and
+// births probe one membership set of the alive ranks — one bit per pair
+// where that is no larger than a hash table at the stationary alive
+// count, else an open-addressing table of ranks (power-of-two slots,
+// linear probing, backward-shift deletion); dyngraph.Adjacency
 // became a CSR arena — {off, len, cap} segment headers over one shared
 // int32 buffer with move-to-end growth and slack-preserving compaction,
 // layout-preserved across same-n Resets; the flood frontier sets became

@@ -1,10 +1,12 @@
 package edgemeg
 
 // Allocation pins on the MODEL step itself, extending the engine-side
-// zero-alloc contract (flood's alloc_test) to the simulator: once the rank
-// index, the exclude scratch, and the churn buffers have reached their
-// high-water capacities, a sparse edge-MEG step touches the heap only when
-// a buffer genuinely grows — which a warmed stationary run never does.
+// zero-alloc contract (flood's alloc_test) to the simulator: once the
+// alive set and the churn buffers have reached their high-water
+// capacities, a sparse edge-MEG step touches the heap only when a buffer
+// genuinely grows — which a warmed stationary run never does. The
+// 4096-node pins run the alive set's hash-table form, the 512-node pin its
+// one-bit-per-pair form.
 
 import (
 	"testing"
@@ -30,6 +32,15 @@ func TestSparseStepZeroAlloc(t *testing.T) {
 	p := Params{N: 4096, P: 0.0000049, Q: 0.01}
 	assertStepsZeroAlloc(t, "sparse v1 step",
 		NewSparse(p, InitStationary, rng.New(11)))
+}
+
+func TestSparseBitSetStepZeroAlloc(t *testing.T) {
+	p := Params{N: 512, P: 0.04, Q: 0.96}
+	s := NewSparse(p, InitStationary, rng.New(11))
+	if s.alive.bits == nil {
+		t.Fatalf("%+v built the hash-table form; this pin is for the bit form", p)
+	}
+	assertStepsZeroAlloc(t, "sparse v1 step, one bit per pair", s)
 }
 
 func TestSparseChurnStepZeroAlloc(t *testing.T) {

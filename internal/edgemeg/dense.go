@@ -119,9 +119,10 @@ func (d *Dense) AppendDeltas(born, died []dyngraph.Edge) (b, dd []dyngraph.Edge)
 	return append(born, d.born...), append(died, d.died...)
 }
 
-// HasEdge reports whether {i, j} is currently on.
+// HasEdge reports whether {i, j} is currently on; a pair with an endpoint
+// outside [0, n) never is.
 func (d *Dense) HasEdge(i, j int) bool {
-	if i == j {
+	if !isPair(i, j, d.params.N) {
 		return false
 	}
 	return d.get(pairRank(i, j, d.params.N))

@@ -69,6 +69,39 @@ func TestPairRankSymmetric(t *testing.T) {
 	}
 }
 
+// TestHasEdgeOutOfRange pins HasEdge on endpoints outside [0, n): with
+// every pair alive, such a pair must still read as absent — not as the
+// pair its unchecked rank lands on (pairRank(0, 5, 5) is the rank of
+// (1, 2)), and not as a panic on a negative rank.
+func TestHasEdgeOutOfRange(t *testing.T) {
+	const n = 5
+	general, err := NewGeneral(n, Params{N: n, P: 0.5, Q: 0.5}.Chain().Chain(),
+		[]bool{false, true}, []float64{0, 1}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := Params{N: n, P: 0.5, Q: 0}
+	models := []struct {
+		name string
+		has  func(i, j int) bool
+	}{
+		{"sparse/bits", newSparse(full, InitFull, rng.New(1), true).HasEdge},
+		{"sparse/table", newSparse(full, InitFull, rng.New(1), false).HasEdge},
+		{"dense", NewDense(full, InitFull, rng.New(1)).HasEdge},
+		{"general", general.HasEdge},
+	}
+	for _, m := range models {
+		if !m.has(1, 2) || !m.has(4, 3) {
+			t.Fatalf("%s: in-range pairs of a full graph read absent", m.name)
+		}
+		for _, pair := range [][2]int{{0, 5}, {5, 0}, {4, 5}, {-1, 0}, {0, -1}, {2, 7}, {-3, 9}, {5, 5}, {2, 2}} {
+			if m.has(pair[0], pair[1]) {
+				t.Errorf("%s: HasEdge(%d, %d) = true on a %d-node graph", m.name, pair[0], pair[1], n)
+			}
+		}
+	}
+}
+
 func TestDenseInitModes(t *testing.T) {
 	params := Params{N: 20, P: 0.3, Q: 0.3}
 	empty := NewDense(params, InitEmpty, rng.New(1))

@@ -132,9 +132,10 @@ func (g *General) AppendDeltas(born, died []dyngraph.Edge) (b, d []dyngraph.Edge
 	return append(born, g.born...), append(died, g.died...)
 }
 
-// HasEdge reports whether {i, j} currently exists.
+// HasEdge reports whether {i, j} currently exists; a pair with an
+// endpoint outside [0, n) never does.
 func (g *General) HasEdge(i, j int) bool {
-	if i == j {
+	if !isPair(i, j, g.n) {
 		return false
 	}
 	return g.chi[g.states[pairRank(i, j, g.n)]]

@@ -24,10 +24,9 @@ import (
 // keeps every pin.
 type classChains struct {
 	// members[s] lists the ranks currently in state s; cpos[rank] is the
-	// rank's index in its class list (swap-remove maintenance, like
-	// Sparse.pos). Membership is scanned per class in list order, and
-	// moves apply only after every class was sampled, so each step reads
-	// pre-step membership exactly.
+	// rank's index in its class list (swap-remove maintenance). Membership
+	// is scanned per class in list order, and moves apply only after every
+	// class was sampled, so each step reads pre-step membership exactly.
 	members [][]int64
 	cpos    []int32
 	// leave[s] = 1 − M[s][s]; dest[s] enumerates the states reachable from
@@ -40,6 +39,9 @@ type classChains struct {
 	moves []classMove // per-step scratch, reused
 }
 
+// maxClassPos bounds the class-list positions cpos stores as int32.
+const maxClassPos = 1<<31 - 2
+
 // classMove is one sampled transition: rank leaves its current state for to.
 type classMove struct {
 	rank int64
@@ -51,7 +53,7 @@ type classMove struct {
 // the first Step; the class lists are built from the current state vector
 // in rank order, deterministically, consuming no randomness.
 func (g *General) UseClassChains() {
-	if g.pairs > maxAlive {
+	if g.pairs > maxClassPos {
 		panic("edgemeg: class-chain sampler exceeds int32 class positions")
 	}
 	S := g.chain.N()
@@ -97,7 +99,8 @@ func (g *General) stepClasses() {
 			continue
 		}
 		list := cc.members[s]
-		for i := int64(g.r.Geometric(leave)); i < int64(len(list)); i += 1 + int64(g.r.Geometric(leave)) {
+		gap := rng.NewGeometric(leave)
+		for i := int64(gap.Draw(g.r)); i < int64(len(list)); i += 1 + int64(gap.Draw(g.r)) {
 			cc.moves = append(cc.moves, classMove{rank: list[i], to: g.drawDest(s)})
 		}
 	}

@@ -14,9 +14,13 @@ import (
 //     uniform subset of the dead pairs — exactly the law of independent
 //     per-dead-pair Bernoulli(p) births.
 //
-// Alive edges are stored in an insertion-ordered slice with a position
-// index, so the random-number stream is consumed in a deterministic order
-// and runs are reproducible per seed (Go map iteration order would not be).
+// Alive edges are stored in an insertion-ordered slice, so the
+// random-number stream is consumed in a deterministic order and runs are
+// reproducible per seed (Go map iteration order would not be). Beside it
+// sits a membership set of the alive ranks, which birth sampling probes;
+// nothing maps a rank to its slice position. A step finds its deaths as
+// ascending slice positions and removes them by swap-with-last in that
+// order, tracking only where the not-yet-removed deaths currently sit.
 //
 // The simulator knows exactly which ranks flip each step, so its deltas
 // cost one rank decode per changed edge, and it keeps no per-node
@@ -24,19 +28,20 @@ import (
 type Sparse struct {
 	params Params
 	r      *rng.RNG
-	edges  []int64 // alive edge ranks, arbitrary but deterministic order
-	// pos maps rank -> index in edges. It is an open-addressed table
-	// (12 B/slot at <= 3/4 load) rather than a Go map (~50 B/entry),
-	// which is most of what makes n = 10^6 fit in memory; warm
-	// insert/delete/lookup touch no heap, so steps stay alloc-free.
-	pos rankIndex
-	// excl is the reusable per-step exclude set of sampleNewEdges (the
-	// ranks that died this step); rebuilding a map here used to be the
-	// only per-step allocation left in Step.
-	excl rankIndex
+	// edges lists the alive ranks in an arbitrary but deterministic order.
+	// During a step's death phase a not-yet-removed death k is marked in
+	// place as ^k (ranks are >= 0, marks < 0).
+	edges []int64
+	// alive holds the ranks of edges as a membership set — one bit per
+	// pair or a hash table of ranks, chosen by NewSparse from n, p and q;
+	// see setUsesBits. During a step it also holds that step's deaths until
+	// the births are drawn.
+	alive rankSet
 	// born and died record the ranks that flipped in the most recent Step,
-	// backing AppendDeltas; buffers are reused across steps.
+	// backing AppendDeltas; buffers are reused across steps. at[k] is the
+	// current slice position of death k while the deaths are removed.
 	born, died []int64
+	at         []int
 	// churnDeaths selects the O(churn)-draw death sampler (geometric
 	// skipping over the alive slice) instead of the per-edge Bernoulli
 	// sweep. Same transition law, different RNG stream; see
@@ -49,11 +54,20 @@ func NewSparse(params Params, init Init, r *rng.RNG) *Sparse {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
+	return newSparse(params, init, r, setUsesBits(params))
+}
+
+// newSparse is NewSparse with the alive set's form given: one bit per pair
+// when bits is set, else the hash table.
+func newSparse(params Params, init Init, r *rng.RNG, bits bool) *Sparse {
 	s := &Sparse{
 		params: params,
 		r:      r,
 	}
 	pairs := pairCount(params.N)
+	if bits {
+		s.alive = newBitRankSet(pairs)
+	}
 	switch init {
 	case InitEmpty:
 		// empty
@@ -65,8 +79,8 @@ func NewSparse(params Params, init Init, r *rng.RNG) *Sparse {
 		// Sample Binomial(pairs, alpha) edges uniformly without
 		// replacement — the exact product-Bernoulli law.
 		k := binomialInt64(pairs, params.Alpha(), r)
-		s.pos.Reserve(int(k))
-		s.sampleNewEdges(k, nil)
+		s.alive.Reserve(int(k))
+		s.sampleNewEdges(k)
 	default:
 		panic("edgemeg: unknown Init")
 	}
@@ -90,28 +104,17 @@ func (s *Sparse) UseChurnSampler() { s.churnDeaths = true }
 // insert adds rank to the alive set (at the maximal position) and records
 // it as born; it must not already be present.
 func (s *Sparse) insert(rank int64) {
-	p := len(s.edges)
-	if p > maxAlive {
-		panic("edgemeg: alive set exceeds int32 positions")
-	}
-	s.pos.Put(rank, int32(p))
+	s.alive.Add(rank)
 	s.edges = append(s.edges, rank)
 	s.born = append(s.born, rank)
 }
 
-// remove deletes rank from the alive set by swap-with-last.
-func (s *Sparse) remove(rank int64) {
-	pi, ok := s.pos.Get(rank)
-	if !ok {
-		panic("edgemeg: remove of a dead rank")
-	}
-	i := int(pi)
-	last := len(s.edges) - 1
-	moved := s.edges[last]
-	s.edges[i] = moved
-	s.pos.Put(moved, int32(i))
-	s.edges = s.edges[:last]
-	s.pos.Delete(rank)
+// kill records the edge at slice position i as this step's next death,
+// k, and marks it in place as ^k.
+func (s *Sparse) kill(i int) {
+	s.died = append(s.died, s.edges[i])
+	s.at = append(s.at, i)
+	s.edges[i] = ^int64(len(s.at) - 1)
 }
 
 // binomialInt64 samples Binomial(n, p) for potentially huge n via geometric
@@ -123,28 +126,27 @@ func binomialInt64(n int64, p float64, r *rng.RNG) int64 {
 	if p >= 1 {
 		return n
 	}
+	gap := rng.NewGeometric(p)
 	var k, i int64
-	i = int64(r.Geometric(p))
+	i = int64(gap.Draw(r))
 	for i < n {
 		k++
-		i += 1 + int64(r.Geometric(p))
+		i += 1 + int64(gap.Draw(r))
 	}
 	return k
 }
 
-// sampleNewEdges inserts k uniformly random currently-dead pairs into the
-// alive set. exclude optionally holds ranks that must also be avoided (the
-// pairs that died this step: births apply to pre-step dead pairs only).
-// The rejection draws are identical to the historical map-backed version,
-// so the RNG stream — and every fixed-seed pin — is unchanged.
-func (s *Sparse) sampleNewEdges(k int64, exclude *rankIndex) {
+// sampleNewEdges inserts k uniformly random pairs absent from the alive
+// set. During a step that set still holds the step's deaths, so one probe
+// rejects exactly the pairs alive before the step and the births drawn so
+// far: births apply to pre-step dead pairs only. The rejection draws are
+// identical to the historical map-backed version, so the RNG stream — and
+// every fixed-seed pin — is unchanged.
+func (s *Sparse) sampleNewEdges(k int64) {
 	pairs := pairCount(s.params.N)
 	for added := int64(0); added < k; {
 		rank := int64(s.r.Uint64n(uint64(pairs)))
-		if s.pos.Has(rank) {
-			continue
-		}
-		if exclude != nil && exclude.Has(rank) {
+		if s.alive.Has(rank) {
 			continue
 		}
 		s.insert(rank)
@@ -160,48 +162,45 @@ func (s *Sparse) Step() {
 	p, q := s.params.P, s.params.Q
 	pairs := pairCount(s.params.N)
 	aliveBefore := int64(len(s.edges))
-	s.born, s.died = s.born[:0], s.died[:0]
+	s.born, s.died, s.at = s.born[:0], s.died[:0], s.at[:0]
 
-	// Deaths: collect in deterministic order, then remove. The default
-	// sweep draws one Bernoulli per alive edge (the stream-compatible
-	// path); churnDeaths draws one Geometric per death instead — identical
-	// law over the died set, O(churn) draws.
+	// Deaths: collect at ascending slice positions. The default sweep
+	// draws one Bernoulli per alive edge (the stream-compatible path);
+	// churnDeaths draws one Geometric per death instead — identical law
+	// over the died set, O(churn) draws.
 	if q > 0 {
 		if s.churnDeaths {
-			for i := int64(s.r.Geometric(q)); i < int64(len(s.edges)); i += 1 + int64(s.r.Geometric(q)) {
-				s.died = append(s.died, s.edges[i])
+			gap := rng.NewGeometric(q)
+			for i := gap.Draw(s.r); i < len(s.edges); i += 1 + gap.Draw(s.r) {
+				s.kill(i)
 			}
 		} else {
-			for _, rank := range s.edges {
+			for i := range s.edges {
 				if s.r.Bool(q) {
-					s.died = append(s.died, rank)
+					s.kill(i)
 				}
 			}
 		}
-		for _, rank := range s.died {
-			s.remove(rank)
+		// Remove them in that order by swap-with-last. A death swapped
+		// forward is a mark ^k, whose new position goes to at[k].
+		for _, i := range s.at {
+			last := len(s.edges) - 1
+			moved := s.edges[last]
+			s.edges[i] = moved
+			if moved < 0 {
+				s.at[^moved] = i
+			}
+			s.edges = s.edges[:last]
 		}
 	}
 
-	// Births apply to pairs dead *before* the step: skip both the
-	// surviving alive set and the just-died ranks. insert records them
-	// into s.born.
+	// Births apply to pairs dead before the step; insert records them
+	// into s.born. The died ranks leave the set only afterwards.
 	if p > 0 {
-		dead := pairs - aliveBefore
-		births := binomialInt64(dead, p, s.r)
-		var exclude *rankIndex
-		if len(s.died) > 0 && births > 0 {
-			// Reuse the scratch-held exclude table: clearing and refilling
-			// it is O(churn) with no heap traffic once its capacity covers
-			// the step's deaths — warm steps allocate nothing.
-			s.excl.Clear()
-			s.excl.Reserve(len(s.died))
-			for _, rank := range s.died {
-				s.excl.Put(rank, 0)
-			}
-			exclude = &s.excl
-		}
-		s.sampleNewEdges(births, exclude)
+		s.sampleNewEdges(binomialInt64(pairs-aliveBefore, p, s.r))
+	}
+	for _, rank := range s.died {
+		s.alive.Delete(rank)
 	}
 }
 
@@ -232,26 +231,22 @@ func (s *Sparse) AppendDeltas(born, died []dyngraph.Edge) (b, d []dyngraph.Edge)
 	return born, died
 }
 
-// HasEdge reports whether {i, j} is currently alive.
+// HasEdge reports whether {i, j} is currently alive; a pair with an
+// endpoint outside [0, n) never is.
 func (s *Sparse) HasEdge(i, j int) bool {
-	if i == j {
+	if !isPair(i, j, s.params.N) {
 		return false
 	}
-	return s.pos.Has(pairRank(i, j, s.params.N))
+	return s.alive.Has(pairRank(i, j, s.params.N))
 }
 
 // EdgeCount returns the current number of alive edges.
 func (s *Sparse) EdgeCount() int { return len(s.edges) }
 
 // Bytes returns the heap bytes retained by the simulator's state — the
-// alive slice, the rank index, the exclude scratch and the churn
-// buffers. It is the model side of the resident-footprint accounting that gates the
-// million-node engine.
+// alive slice, the alive set and the churn buffers. It is the model side
+// of the resident-footprint accounting that gates the million-node engine.
 func (s *Sparse) Bytes() int64 {
-	b := int64(cap(s.edges))*8 + s.pos.Bytes() + s.excl.Bytes()
-	return b + int64(cap(s.born))*8 + int64(cap(s.died))*8
+	b := int64(cap(s.edges))*8 + s.alive.Bytes()
+	return b + int64(cap(s.born))*8 + int64(cap(s.died))*8 + int64(cap(s.at))*8
 }
-
-// maxAlive bounds the alive-slice positions the rank index stores as
-// int32.
-const maxAlive = 1<<31 - 2

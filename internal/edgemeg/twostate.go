@@ -92,6 +92,13 @@ func pairRank(u, v, n int) int64 {
 	return int64(u)*int64(n) - int64(u)*int64(u+1)/2 + int64(v-u-1)
 }
 
+// isPair reports whether {i, j} is a pair of distinct nodes of [0, n) —
+// the pairs pairRank numbers. HasEdge checks it first, so an out-of-range
+// endpoint reads no other pair's state.
+func isPair(i, j, n int) bool {
+	return i != j && i >= 0 && j >= 0 && i < n && j < n
+}
+
 // rowStart returns the rank of pair (u, u+1), the first pair of row u.
 func rowStart(u, n int) int64 {
 	return int64(u)*int64(n) - int64(u)*int64(u+1)/2

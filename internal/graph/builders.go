@@ -166,11 +166,12 @@ func Gnp(n int, p float64, r *rng.RNG) *Graph {
 	}
 	// Walk the implicit edge list {(0,1),(0,2),...} skipping geometrically.
 	total := int64(n) * int64(n-1) / 2
-	pos := int64(r.Geometric(p))
+	gap := rng.NewGeometric(p)
+	pos := int64(gap.Draw(r))
 	for pos < total {
 		u, v := edgeFromRank(pos, n)
 		b.AddEdge(u, v)
-		pos += 1 + int64(r.Geometric(p))
+		pos += 1 + int64(gap.Draw(r))
 	}
 	return b.Build()
 }

@@ -7,23 +7,48 @@ import "math"
 // {0, 1, 2, ...} with success probability p. It panics if p <= 0 or p > 1.
 //
 // Sampling uses inversion: floor(ln U / ln(1-p)) for U uniform in (0, 1].
-func (r *RNG) Geometric(p float64) int {
+// Loops that draw many values at one p should hold a NewGeometric sampler,
+// which takes ln(1-p) once.
+func (r *RNG) Geometric(p float64) int { return NewGeometric(p).Draw(r) }
+
+// Geometric draws from the geometric distribution of one success
+// probability p with ln(1-p) computed once: geometric-skip loops draw one
+// value per success, and taking that logarithm on every draw would double
+// the logarithms they take. It consumes exactly the stream of
+// (*RNG).Geometric(p) and returns the same values. Build it with
+// NewGeometric.
+type Geometric struct {
+	p    float64
+	logQ float64 // ln(1-p)
+}
+
+// NewGeometric returns the sampler for success probability p. It panics if
+// p <= 0 or p > 1.
+func NewGeometric(p float64) Geometric {
 	if p <= 0 || p > 1 {
 		panic("rng: Geometric needs 0 < p <= 1")
 	}
-	if p == 1 {
+	return Geometric{p: p, logQ: math.Log(1 - p)}
+}
+
+// Draw returns one sample. At p = 1 it consumes no randomness. At a p so
+// small that 1-p rounds to 1, ln(1-p) is 0 and every draw is 0 after
+// consuming one uniform: a known defect, kept because the fix (Log1p)
+// would change the bits of every fixed-seed stream.
+func (g Geometric) Draw(r *RNG) int {
+	if g.p == 1 {
 		return 0
 	}
 	// 1 - Float64() is uniform in (0, 1], avoiding log(0).
 	u := 1 - r.Float64()
-	g := math.Floor(math.Log(u) / math.Log(1-p))
-	if g < 0 {
+	x := math.Floor(math.Log(u) / g.logQ)
+	if x < 0 {
 		return 0
 	}
-	if g > math.MaxInt32 {
+	if x > math.MaxInt32 {
 		return math.MaxInt32
 	}
-	return int(g)
+	return int(x)
 }
 
 // Binomial returns an exact sample from Binomial(n, p).
@@ -58,11 +83,12 @@ func (r *RNG) Binomial(n int, p float64) int {
 		return k
 	}
 	// Geometric skipping: jump over runs of failures.
+	gap := NewGeometric(p)
 	k := 0
-	i := r.Geometric(p)
+	i := gap.Draw(r)
 	for i < n {
 		k++
-		i += 1 + r.Geometric(p)
+		i += 1 + gap.Draw(r)
 	}
 	return k
 }

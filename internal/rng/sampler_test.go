@@ -32,6 +32,61 @@ func TestGeometricOne(t *testing.T) {
 	}
 }
 
+// geometricFormula is (*RNG).Geometric as it was before the log of the
+// failure probability was hoisted into Geometric, kept verbatim so the
+// sampler stays pinned to it bit for bit.
+func geometricFormula(r *RNG, p float64) int {
+	if p <= 0 || p > 1 {
+		panic("rng: Geometric needs 0 < p <= 1")
+	}
+	if p == 1 {
+		return 0
+	}
+	// 1 - Float64() is uniform in (0, 1], avoiding log(0).
+	u := 1 - r.Float64()
+	g := math.Floor(math.Log(u) / math.Log(1-p))
+	if g < 0 {
+		return 0
+	}
+	if g > math.MaxInt32 {
+		return math.MaxInt32
+	}
+	return int(g)
+}
+
+// TestGeometricSamplerMatchesFormula pins the hoisted sampler and the
+// one-off method to the original formula: the same values from the same
+// stream, the stream left at the same place, no draw at p = 1, and one
+// draw at a p whose 1-p rounds to 1.
+func TestGeometricSamplerMatchesFormula(t *testing.T) {
+	for _, p := range []float64{1, 0.5, 1e-3, 2e-8, 1e-17} {
+		want, viaSampler, viaMethod := New(71), New(71), New(71)
+		g := NewGeometric(p)
+		for i := 0; i < 5000; i++ {
+			w := geometricFormula(want, p)
+			if got := g.Draw(viaSampler); got != w {
+				t.Fatalf("p=%g draw %d: sampler %d, formula %d", p, i, got, w)
+			}
+			if got := viaMethod.Geometric(p); got != w {
+				t.Fatalf("p=%g draw %d: method %d, formula %d", p, i, got, w)
+			}
+		}
+		next := want.Uint64()
+		if viaSampler.Uint64() != next || viaMethod.Uint64() != next {
+			t.Fatalf("p=%g: stream position differs from the formula's", p)
+		}
+	}
+	fresh := New(5)
+	if NewGeometric(1).Draw(fresh); fresh.Uint64() != New(5).Uint64() {
+		t.Error("p=1 consumed randomness")
+	}
+	tiny, once := New(5), New(5)
+	once.Float64()
+	if NewGeometric(1e-17).Draw(tiny); tiny.Uint64() != once.Uint64() {
+		t.Error("p=1e-17 did not consume exactly one uniform")
+	}
+}
+
 func TestGeometricPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
