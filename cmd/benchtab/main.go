@@ -1,6 +1,8 @@
-// Command benchtab regenerates the experiment tables recorded in
-// EXPERIMENTS.md: one table per quantitative claim of "Information Spreading
-// in Dynamic Graphs" (Clementi–Silvestri–Trevisan, PODC 2012).
+// Command benchtab regenerates the experiment tables: one table per
+// quantitative claim of "Information Spreading in Dynamic Graphs"
+// (Clementi–Silvestri–Trevisan, PODC 2012). `benchtab -list` names each
+// experiment and the claim it checks; docs/PAPER_MAP.md maps them to the
+// paper's sections.
 //
 // Usage:
 //
@@ -9,15 +11,12 @@
 //	benchtab -exp E4    # a single experiment
 //	benchtab -list      # list experiment IDs and claims
 //	benchtab -seed 7    # change the master seed
-//	benchtab -json      # run the microbenchmark suite, write BENCH_<date>.json
-//	benchtab -compare a.json b.json   # diff two BENCH records row by row
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -28,52 +27,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	seed := flag.Uint64("seed", 1, "master seed (tables are deterministic per seed)")
 	workers := flag.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS)")
-	jsonBench := flag.Bool("json", false, "run the spreading-core microbenchmark suite and write a machine-readable perf record instead of experiment tables")
-	jsonOut := flag.String("json-out", "", "output path for -json (default BENCH_<YYYY-MM-DD>.json)")
-	baseline := flag.String("baseline", "", "with -json: committed BENCH_<date>.json to gate against; exits nonzero if the baseline row regressed")
-	baselineRow := flag.String("baseline-row", "flood/static-torus/engine-only",
-		"row compared against -baseline (must be mode-independent: same workload under -quick and full)")
-	baselineSlack := flag.Float64("baseline-slack", 25, "percent slowdown tolerated by -baseline before failing")
-	compare := flag.Bool("compare", false, "diff two BENCH_<date>.json records row by row (benchtab -compare a.json b.json); exits nonzero when any row of b regressed beyond -baseline-slack or allocates more than a")
-	gateModeIndependent := flag.Bool("gate-mode-independent", false,
-		"with -compare: fail only on regressed rows marked mode-independent in both records — the cross-mode CI gate (a -quick record against the committed full-suite baseline)")
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchtab: -compare wants exactly two record paths (a.json b.json)")
-			os.Exit(1)
-		}
-		a, err := bench.ReadMicroRecord(flag.Arg(0))
-		if err == nil {
-			var b bench.MicroRecord
-			b, err = bench.ReadMicroRecord(flag.Arg(1))
-			if err == nil {
-				rows := bench.Compare(a, b, *baselineSlack)
-				err = bench.WriteCompare(os.Stdout, rows)
-				if err == nil {
-					bad := bench.Regressions(rows)
-					if *gateModeIndependent {
-						bad = bench.GatedRegressions(rows)
-					}
-					if len(bad) > 0 {
-						for _, r := range bad {
-							fmt.Fprintf(os.Stderr, "benchtab: regressed: %s (%.0f -> %.0f ns/op, allocs %d -> %d)\n",
-								r.Name, r.A.NsPerOp, r.B.NsPerOp, r.A.AllocsPerOp, r.B.AllocsPerOp)
-						}
-						fmt.Fprintf(os.Stderr, "benchtab: %d row(s) regressed beyond %.0f%% slack\n",
-							len(bad), *baselineSlack)
-						os.Exit(1)
-					}
-				}
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range bench.All() {
@@ -83,48 +37,6 @@ func main() {
 	}
 
 	cfg := bench.Config{Quick: *quick, Seed: *seed, Workers: *workers}
-
-	if *jsonBench {
-		if *exp != "" {
-			fmt.Fprintln(os.Stderr, "benchtab: -json runs the fixed microbenchmark suite and cannot be combined with -exp")
-			os.Exit(1)
-		}
-		now := time.Now()
-		path := *jsonOut
-		if path == "" {
-			path = fmt.Sprintf("BENCH_%s.json", now.Format("2006-01-02"))
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = bench.WriteMicroJSON(cfg, now, f, os.Stderr)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "benchtab: wrote", path)
-		if *baseline != "" {
-			rec, err := bench.ReadMicroRecord(path)
-			if err == nil {
-				var base bench.MicroRecord
-				base, err = bench.ReadMicroRecord(*baseline)
-				if err == nil {
-					err = bench.CheckRegression(rec, base, *baselineRow, *baselineSlack)
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchtab:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "benchtab: %s within %.0f%% of %s\n",
-				*baselineRow, *baselineSlack, *baseline)
-		}
-		return
-	}
-
 	var err error
 	if *exp != "" {
 		err = bench.RunOne(*exp, cfg, os.Stdout)

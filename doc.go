@@ -140,9 +140,7 @@
 // counters on GET /campaigns/{id}/metrics, and supports DELETE
 // /campaigns/{id} for finished-state GC). telemetry.ReadCaptureFile and
 // telemetry.Summarize decode and aggregate captures — `sweep
-// -telemetry-report` renders the table, and `benchtab -compare a.json
-// b.json` diffs two microbenchmark records row by row with the same
-// slack semantics as the CI baseline gate. See docs/TELEMETRY.md.
+// -telemetry-report` renders the table. See docs/TELEMETRY.md.
 //
 // The v9 layer scales the sparse stationary regime to n = 10⁶ on one
 // box. The edgemeg simulator keeps no alive-pair position map and no
@@ -161,17 +159,18 @@
 // RNG stream byte-for-byte, stream=v2 draws O(churn) numbers per step
 // via geometric skipping over the Bernoulli sweeps and, for the
 // generalized chain, per-state-class cohorts with conditional-alias
-// destinations. Net: ~3.6 ms/step and zero warm allocations at n = 10⁶
-// with ~110 MB tracked resident (Bytes() accounting, pinned under the
-// 4 GB budget by internal/flood/million_test.go), per-step churn
-// surfaced as born_per_step/died_per_step telemetry gauges, and the CI
-// perf gate widened to every mode-independent BENCH row (benchtab
-// -compare -gate-mode-independent), including the two new million-node
-// rows.
+// destinations. Net: zero warm allocations and a tracked resident
+// footprint (Bytes() accounting) far under the 4 GB budget at n = 10⁶,
+// both pinned by internal/flood/million_test.go, and per-step churn
+// surfaced as born_per_step/died_per_step telemetry gauges. The
+// flood-meg-1m workload of benchmark/ measures the regime end to end and
+// layer by layer (benchmark/README.md, "Per-layer metrics" and
+// "Baseline").
 //
-// The library lives under internal/ (see DESIGN.md for the module map);
-// cmd/ holds the CLIs, examples/ runnable scenarios, and bench_test.go one
-// benchmark per experiment of EXPERIMENTS.md plus the flooding and
-// protocol-engine hot-loop benchmarks. docs/PAPER_MAP.md maps the paper's
-// sections and theorems to packages and experiments.
+// The library lives under internal/ (README.md's package table is the
+// module map); cmd/ holds the CLIs, examples/ runnable scenarios, and
+// bench_test.go one benchmark per experiment of the bench registry
+// (`benchtab -list`). benchmark/ is the performance harness.
+// docs/PAPER_MAP.md maps the paper's sections and theorems to packages
+// and experiments.
 package repro

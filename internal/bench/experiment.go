@@ -1,7 +1,8 @@
 // Package bench is the experiment harness that regenerates every
 // quantitative claim of the paper as a table: the experiment registry
-// (E1–E13, indexed in DESIGN.md), parameter sweeps, and the shared
-// configuration used by cmd/benchtab and the root bench_test.go.
+// (E1–E18, listed by `benchtab -list` and mapped to the paper in
+// docs/PAPER_MAP.md), parameter sweeps, and the shared configuration used
+// by cmd/benchtab and the root bench_test.go.
 package bench
 
 import (
@@ -21,7 +22,7 @@ import (
 // Config selects the scale of an experiment run.
 type Config struct {
 	// Quick selects reduced sizes/trials for CI and testing.B usage;
-	// the full configuration reproduces EXPERIMENTS.md.
+	// the full configuration runs the paper-scale tables.
 	Quick bool
 	// Seed is the master seed; every experiment derives all randomness
 	// from it, so equal (Config, experiment) pairs print identical tables.
@@ -32,8 +33,8 @@ type Config struct {
 
 // Experiment is one reproducible experiment.
 type Experiment struct {
-	// ID is the stable identifier (e.g. "E4") used across DESIGN.md,
-	// EXPERIMENTS.md and bench_test.go.
+	// ID is the stable identifier (e.g. "E4") used by `benchtab -exp`,
+	// docs/PAPER_MAP.md and bench_test.go.
 	ID string
 	// Title is a one-line description.
 	Title string
@@ -59,7 +60,7 @@ func Get(id string) (Experiment, bool) {
 	return e, ok
 }
 
-// All returns every experiment ordered by ID (E1, E2, ..., E13).
+// All returns every experiment ordered by ID (E1, E2, ..., E18).
 func All() []Experiment {
 	out := make([]Experiment, 0, len(registry))
 	for _, e := range registry {

@@ -22,6 +22,17 @@ func TestParamsValidate(t *testing.T) {
 	if err := (Params{N: 5, P: 0.1, Q: 0.2}).Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// 2⁻⁵³ is the smallest rate whose complement stays below 1; at 2⁻⁵⁴,
+	// 1-p rounds to 1 and the rate is rejected.
+	if err := (Params{N: 5, P: 0x1p-53, Q: 0x1p-53}).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := (Params{N: 5, P: 0x1p-54, Q: 0.5}).Validate(); err == nil {
+		t.Fatal("p = 2⁻⁵⁴ accepted")
+	}
+	if err := (Params{N: 5, P: 0.5, Q: 0x1p-54}).Validate(); err == nil {
+		t.Fatal("q = 2⁻⁵⁴ accepted")
+	}
 }
 
 func TestParamsDerived(t *testing.T) {

@@ -28,12 +28,26 @@ type Params struct {
 	Q float64 // edge death rate: on -> off
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters. Besides the chain's own checks it
+// rejects a positive rate so small that 1-rate rounds to 1 (rate ≤ 2⁻⁵⁴):
+// the geometric samplers take ln(1-rate), which is then 0, so every gap
+// draws 0 and the rarest transition becomes a certain one (see
+// rng.Geometric). Since α ≥ p/(1+p), this also keeps the stationary
+// initial draw away from that case.
 func (p Params) Validate() error {
 	if p.N < 2 {
 		return fmt.Errorf("edgemeg: need at least 2 nodes, got %d", p.N)
 	}
-	return markov.TwoState{P: p.P, Q: p.Q}.Validate()
+	if err := (markov.TwoState{P: p.P, Q: p.Q}).Validate(); err != nil {
+		return err
+	}
+	if p.P > 0 && 1-p.P == 1 {
+		return fmt.Errorf("edgemeg: birth rate p = %v is too small to sample (1-p rounds to 1)", p.P)
+	}
+	if p.Q > 0 && 1-p.Q == 1 {
+		return fmt.Errorf("edgemeg: death rate q = %v is too small to sample (1-q rounds to 1)", p.Q)
+	}
+	return nil
 }
 
 // Chain returns the per-edge two-state chain.

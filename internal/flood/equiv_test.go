@@ -266,10 +266,9 @@ func TestMobilityDispatchEquivalence(t *testing.T) {
 
 // BenchmarkEngineOnly* isolate the spreading core from model simulation
 // (static graph: Step is free, snapshot access is an append), pitting the
-// bitset/scratch engines against their pre-refactor references. This is
-// the apples-to-apples number behind the README's performance table — the
-// end-to-end BenchmarkFlood* family is dominated by model construction
-// and per-step Markov simulation.
+// bitset/scratch engines against their pre-refactor references. Model
+// construction and per-step Markov simulation, which dominate a flood on
+// a real model, are left out; benchmark/ measures those layers.
 
 func BenchmarkEngineOnlyBitset(b *testing.B) {
 	d := dyngraph.NewStatic(graph.Torus(64, 64))

@@ -64,4 +64,15 @@ func TestMillionNodeFloodFootprint(t *testing.T) {
 	if perStep := born / steps; perStep < 10_000 || perStep > 40_000 {
 		t.Errorf("born per step = %d, want ≈ 2e4 for p=2e-8, q=0.01", perStep)
 	}
+
+	// Warm 128-step windows on the same model and scratch take no
+	// allocations. The small-n pins of alloc_test.go cannot show this:
+	// arena growth and the scratch's high-water marks depend on n. One
+	// window warms, and AllocsPerRun adds a warm-up run of its own.
+	wopts := flood.Opts{MaxSteps: 128, Scratch: opts.Scratch}
+	window := func() { flood.Run(d, 0, wopts) }
+	window()
+	if allocs := testing.AllocsPerRun(2, window); allocs != 0 {
+		t.Errorf("warm 128-step flood window at n = 10⁶: %.1f allocs, want 0", allocs)
+	}
 }

@@ -75,3 +75,25 @@ func TestMobilityDeltaFloodZeroAlloc(t *testing.T) {
 		t.Errorf("warm mobility delta flood run: %.1f allocs, want 0", allocs)
 	}
 }
+
+// TestWaypoint64kStepZeroAlloc pins the warm waypoint step at n = 65536,
+// where cell-list slack and buffer high-water marks differ from the
+// 64-node pins: a pause-heavy model (fast trips, long rests, about a
+// quarter of the nodes moving per step) must step without allocating once
+// 256 steps have reached its steady mover mix.
+func TestWaypoint64kStepZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64k-node waypoint pin skipped under -short")
+	}
+	spec, err := model.Parse("waypoint:n=65536,L=256,r=1,vmin=8,vmax=8,pause=32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := model.MustBuild(spec, 1)
+	for i := 0; i < 256; i++ {
+		d.Step()
+	}
+	if allocs := testing.AllocsPerRun(20, d.Step); allocs != 0 {
+		t.Errorf("warm 64k waypoint step: %.1f allocs, want 0", allocs)
+	}
+}

@@ -20,7 +20,7 @@ import (
 // L-shaped (Manhattan) trajectories: the node first aligns its row with the
 // destination, then its column.
 //
-// Substitution note (recorded in DESIGN.md): the continuous model travels
+// Substitution note: the continuous model travels
 // on straight Euclidean segments, whose exact discretization needs the trip
 // origin in the state. L-shaped trips keep (cur, dest) Markovian with m⁴
 // states, preserve the Θ(L/v) mixing time and the center-biased stationary

@@ -84,6 +84,12 @@ func TestBuildErrors(t *testing.T) {
 		model.New("edgemeg").With("n", "1"),        // model validation (n >= 2)
 		model.New("edgemeg").With("init", "warm"),  // bad enum
 		model.New("static").With("topology", "?!"), // bad topology
+		// Rates whose complement rounds to 1: the geometric samplers would
+		// draw every gap as 0 and turn them into certainties.
+		model.New("edgemeg").With("p", "1e-17").With("init", "empty"),
+		model.New("edgemeg").With("p", "1e-17").With("stream", "v2"),
+		model.New("edgemeg").With("q", "1e-17").With("stream", "v2"),
+		model.New("edgemeg").With("p", "1e-17").With("dense", "true"),
 	}
 	for _, spec := range cases {
 		if _, err := model.Build(spec, 1); err == nil {
