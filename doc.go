@@ -14,10 +14,13 @@
 // churn follows node motion. The paper's object is a Markov chain over
 // snapshots E_t, and in its sparse regime only O(n) of the Θ(n) edges
 // flip per step, so the models emit exactly that churn: the edge-MEG
-// simulators from their own step logic, the mobility models from a
+// simulators from their own step logic, the continuous mobility models
+// (waypoint over any convex region, direction) from one shared plane core's
 // two-pass scan of the moved nodes' cell neighborhoods (O(moved × local
-// density)), node-MEGs from their state buckets, Static with no churn at
-// all, and trace Replay by diffing recorded snapshots.
+// density)), node-MEGs — random walks and random paths, whose one hop-radius
+// connection map has r = 0 as the same-point case — from their state
+// buckets, Static with no churn at all, and trace Replay by diffing
+// recorded snapshots.
 //
 // No consumer asks a model for neighbors. Every engine owns one
 // dyngraph.Adjacency — a CSR-arena neighbor store — and keeps it current

@@ -72,19 +72,26 @@ func runE8(cfg Config, w io.Writer) error {
 	walkPi := markov.WalkStationary(g)
 	gr := nodemeg.NewGridRadius(m, 1.5)
 	tab.Row("grid walk, radius 1.5", m*m, g3(nodemeg.PNM(walkPi, gr)), g3(nodemeg.PNM2(walkPi, gr)), f2(nodemeg.Eta(walkPi, gr)))
-	// Random-path families: L-paths (balanced) vs star (congested).
-	lm, err := randompath.New(g, randompath.GridLPaths(m))
-	if err != nil {
-		return err
+	// Random-path families: L-paths (balanced) vs star (congested), with
+	// the paper's same-point connection (hop radius 0).
+	for _, fam := range []struct {
+		name  string
+		paths []randompath.Path
+	}{
+		{"L-paths on grid", randompath.GridLPaths(m)},
+		{"star paths on grid", randompath.StarPaths(m)},
+	} {
+		rp, err := randompath.New(g, fam.paths)
+		if err != nil {
+			return err
+		}
+		conn, err := rp.HopConnection(0)
+		if err != nil {
+			return err
+		}
+		pi := stats.Uniform(rp.NumStates())
+		tab.Row(fam.name, rp.NumStates(), g3(nodemeg.PNM(pi, conn)), g3(nodemeg.PNM2(pi, conn)), f2(nodemeg.Eta(pi, conn)))
 	}
-	lPi := stats.Uniform(lm.NumStates())
-	tab.Row("L-paths on grid", lm.NumStates(), g3(nodemeg.PNM(lPi, lm.Connection())), g3(nodemeg.PNM2(lPi, lm.Connection())), f2(nodemeg.Eta(lPi, lm.Connection())))
-	sm, err := randompath.New(g, randompath.StarPaths(m))
-	if err != nil {
-		return err
-	}
-	sPi := stats.Uniform(sm.NumStates())
-	tab.Row("star paths on grid", sm.NumStates(), g3(nodemeg.PNM(sPi, sm.Connection())), g3(nodemeg.PNM2(sPi, sm.Connection())), f2(nodemeg.Eta(sPi, sm.Connection())))
 	if err := tab.Flush(); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package dyngraph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -123,12 +124,25 @@ func TestTraceSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// traceWords encodes a raw trace stream word by word, little-endian.
+func traceWords(words ...uint32) []byte {
+	var out []byte
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out
+}
+
 func TestReadTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+	// Three nodes have three pairs, so a step cannot list four edges.
+	if _, err := ReadTrace(bytes.NewReader(traceWords(traceMagic, 3, 1, 4, 0, 1, 0, 2, 1, 2, 0, 1))); err == nil {
+		t.Fatal("step with more edges than pairs accepted")
 	}
 }
 

@@ -190,14 +190,21 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A step lists at most every pair once. The count is still only a
+	// claim, so the edge slice grows as edges arrive: a hostile header
+	// costs no more memory than the stream carries.
+	maxEdges := uint64(n) * uint64(n-1) / 2
 	tr := NewTrace(int(n))
 	for s := uint32(0); s < steps; s++ {
 		count, err := get32()
 		if err != nil {
 			return nil, fmt.Errorf("dyngraph: reading step %d: %w", s, err)
 		}
-		edges := make([]Edge, count)
-		for i := range edges {
+		if uint64(count) > maxEdges {
+			return nil, fmt.Errorf("dyngraph: step %d claims %d edges, more than the %d pairs of %d nodes", s, count, maxEdges, n)
+		}
+		var edges []Edge
+		for i := uint32(0); i < count; i++ {
 			u, err := get32()
 			if err != nil {
 				return nil, err
@@ -209,7 +216,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if u >= n || v >= n || u >= v {
 				return nil, fmt.Errorf("dyngraph: invalid edge (%d,%d) in step %d", u, v, s)
 			}
-			edges[i] = Edge{int32(u), int32(v)}
+			edges = append(edges, Edge{int32(u), int32(v)})
 		}
 		tr.steps = append(tr.steps, edges)
 	}

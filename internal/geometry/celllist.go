@@ -116,9 +116,6 @@ func (c *CellList) Move(i int, p Point) {
 // Position returns the indexed position of point i.
 func (c *CellList) Position(i int) Point { return c.pts[i] }
 
-// RadiusSq returns the squared query radius.
-func (c *CellList) RadiusSq() float64 { return c.r * c.r }
-
 // cellOf maps a point (clamped into the rectangle) to its cell id.
 func (c *CellList) cellOf(p Point) int32 {
 	p = c.rect.Clamp(p)
@@ -133,38 +130,11 @@ func (c *CellList) cellOf(p Point) int32 {
 	return int32(row*c.cols + col)
 }
 
-// ForEachWithin calls fn(j) for every indexed point j != i whose distance to
-// point i is at most the query radius. Iteration order is unspecified.
-func (c *CellList) ForEachWithin(i int, fn func(j int)) {
-	p := c.pts[i]
-	id := int(c.cell[i])
-	row := id / c.cols
-	col := id % c.cols
-	r2 := c.r * c.r
-	for dr := -1; dr <= 1; dr++ {
-		nr := row + dr
-		if nr < 0 || nr >= c.rows {
-			continue
-		}
-		for dc := -1; dc <= 1; dc++ {
-			nc := col + dc
-			if nc < 0 || nc >= c.cols {
-				continue
-			}
-			for _, j := range c.members[nr*c.cols+nc] {
-				if int(j) != i && Dist2(p, c.pts[j]) <= r2 {
-					fn(int(j))
-				}
-			}
-		}
-	}
-}
-
 // AppendPairsWithin appends every unordered pair {i, j} of indexed points
 // within the query radius to dst, normalized to i < j, each pair exactly
 // once. It scans each cell against itself and a half stencil of its
 // neighbors, so every candidate pair is distance-checked once — half the
-// work of querying ForEachWithin from every point.
+// work of querying AppendWithin from every point.
 func (c *CellList) AppendPairsWithin(dst [][2]int32) [][2]int32 {
 	r2 := c.r * c.r
 	// Half stencil: E, SW, S, SE. Together with the same-cell pass this
@@ -199,7 +169,7 @@ func (c *CellList) AppendPairsWithin(dst [][2]int32) [][2]int32 {
 
 // Pairs returns the current within-radius pairs via AppendPairsWithin into
 // an internal scratch buffer reused across calls, so warm callers (the
-// mobility batch views) never reallocate. The returned slice is
+// mobility models' AppendEdges) never reallocate. The returned slice is
 // invalidated by the next Pairs call and must not be retained or modified.
 func (c *CellList) Pairs() [][2]int32 {
 	c.pairs = c.AppendPairsWithin(c.pairs[:0])
@@ -214,7 +184,7 @@ func orderPair(i, j int32) [2]int32 {
 }
 
 // AppendWithin appends every indexed point j != i within the query radius
-// of point i to dst, in ForEachWithin order.
+// of point i to dst, scanning the 3×3 block of cells around it row by row.
 func (c *CellList) AppendWithin(i int, dst []int32) []int32 {
 	p := c.pts[i]
 	id := int(c.cell[i])
@@ -239,14 +209,6 @@ func (c *CellList) AppendWithin(i int, dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// CountWithin returns the number of indexed points within the radius of
-// point i, excluding i itself.
-func (c *CellList) CountWithin(i int) int {
-	n := 0
-	c.ForEachWithin(i, func(int) { n++ })
-	return n
 }
 
 // Len returns the number of indexed points.

@@ -17,9 +17,6 @@ func TestPointArithmetic(t *testing.T) {
 	if q.Sub(p) != (Point{2, 3}) {
 		t.Fatal("Sub wrong")
 	}
-	if p.Scale(2) != (Point{2, 4}) {
-		t.Fatal("Scale wrong")
-	}
 }
 
 func TestDist(t *testing.T) {
@@ -28,9 +25,6 @@ func TestDist(t *testing.T) {
 	}
 	if Dist2(Point{0, 0}, Point{3, 4}) != 25 {
 		t.Fatal("Dist2 wrong")
-	}
-	if (Point{3, 4}).Norm() != 5 {
-		t.Fatal("Norm wrong")
 	}
 }
 
@@ -95,7 +89,7 @@ func TestStepTowardNeverOvershootsProperty(t *testing.T) {
 
 func TestRect(t *testing.T) {
 	r := Square(10)
-	if r.W() != 10 || r.H() != 10 || r.Area() != 100 {
+	if r.W() != 10 || r.H() != 10 {
 		t.Fatal("Square dims wrong")
 	}
 	if !r.Contains(Point{5, 5}) || r.Contains(Point{11, 5}) {
@@ -103,17 +97,6 @@ func TestRect(t *testing.T) {
 	}
 	if r.Clamp(Point{-2, 15}) != (Point{0, 10}) {
 		t.Fatal("Clamp wrong")
-	}
-}
-
-func TestRectShrink(t *testing.T) {
-	r := Square(10).Shrink(2)
-	if r != (Rect{2, 2, 8, 8}) {
-		t.Fatalf("Shrink = %+v", r)
-	}
-	deg := Square(10).Shrink(6)
-	if deg.W() != 0 || deg.H() != 0 {
-		t.Fatalf("over-shrink should degenerate: %+v", deg)
 	}
 }
 
@@ -128,12 +111,17 @@ func TestCellListMatchesBruteForce(t *testing.T) {
 	}
 	cl := NewCellList(rect, radius, pts)
 	for i := 0; i < n; i++ {
-		got := map[int]bool{}
-		cl.ForEachWithin(i, func(j int) { got[j] = true })
-		want := map[int]bool{}
+		got := map[int32]bool{}
+		for _, j := range cl.AppendWithin(i, nil) {
+			if got[j] {
+				t.Fatalf("point %d: neighbor %d reported twice", i, j)
+			}
+			got[j] = true
+		}
+		want := map[int32]bool{}
 		for j := 0; j < n; j++ {
 			if j != i && Dist(pts[i], pts[j]) <= radius {
-				want[j] = true
+				want[int32(j)] = true
 			}
 		}
 		if len(got) != len(want) {
@@ -151,13 +139,13 @@ func TestCellListRebuild(t *testing.T) {
 	rect := Square(10)
 	pts := []Point{{1, 1}, {2, 1}, {9, 9}}
 	cl := NewCellList(rect, 2, pts)
-	if cl.CountWithin(0) != 1 {
+	if len(cl.AppendWithin(0, nil)) != 1 {
 		t.Fatal("initial neighbors wrong")
 	}
 	// Move point 2 next to point 0.
 	pts[2] = Point{1, 2}
 	cl.Rebuild(pts)
-	if cl.CountWithin(0) != 2 {
+	if len(cl.AppendWithin(0, nil)) != 2 {
 		t.Fatal("rebuild did not update neighbors")
 	}
 	if cl.Len() != 3 {
@@ -185,11 +173,11 @@ func TestCellListSmallRadiusLargeRect(t *testing.T) {
 	}
 	cl := NewCellList(rect, 0.5, pts)
 	for i := range pts {
-		cl.ForEachWithin(i, func(j int) {
+		for _, j := range cl.AppendWithin(i, nil) {
 			if Dist(pts[i], pts[j]) > 0.5 {
 				t.Fatalf("reported far neighbor %d-%d", i, j)
 			}
-		})
+		}
 	}
 }
 
@@ -206,45 +194,6 @@ func TestCellListPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestGridMapRoundTrip(t *testing.T) {
-	g := NewGridMap(Square(10), 5)
-	if g.Points() != 25 || g.M() != 5 {
-		t.Fatal("size wrong")
-	}
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			idx := g.Index(i, j)
-			gi, gj := g.Coords(idx)
-			if gi != i || gj != j {
-				t.Fatalf("round trip (%d,%d) -> %d -> (%d,%d)", i, j, idx, gi, gj)
-			}
-			// Nearest of an exact lattice point is itself.
-			ni, nj := g.Nearest(g.PointAt(i, j))
-			if ni != i || nj != j {
-				t.Fatalf("Nearest(%d,%d) = (%d,%d)", i, j, ni, nj)
-			}
-		}
-	}
-}
-
-func TestGridMapSpacing(t *testing.T) {
-	g := NewGridMap(Square(10), 5)
-	if g.Spacing() != 2.5 {
-		t.Fatalf("spacing = %v", g.Spacing())
-	}
-	if g.PointAt(4, 4) != (Point{10, 10}) {
-		t.Fatalf("corner = %v", g.PointAt(4, 4))
-	}
-}
-
-func TestGridMapNearestClamps(t *testing.T) {
-	g := NewGridMap(Square(10), 3)
-	i, j := g.Nearest(Point{-5, 100})
-	if i != 0 || j != 2 {
-		t.Fatalf("Nearest out-of-rect = (%d,%d)", i, j)
 	}
 }
 
@@ -268,8 +217,9 @@ func BenchmarkCellListQuery(b *testing.B) {
 		pts[i] = Point{r.Float64() * 100, r.Float64() * 100}
 	}
 	cl := NewCellList(Square(100), 2, pts)
+	var nbrs []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cl.CountWithin(i % len(pts))
+		nbrs = cl.AppendWithin(i%len(pts), nbrs[:0])
 	}
 }

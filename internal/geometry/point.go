@@ -1,6 +1,6 @@
 // Package geometry provides the planar-geometry substrate used by the
-// geometric mobility models: points, rectangles, distance functions, grid
-// discretization, and a cell-list spatial index for radius neighbor queries.
+// geometric mobility models: points, rectangles, distance functions, and a
+// cell-list spatial index for radius neighbor queries.
 package geometry
 
 import "math"
@@ -15,12 +15,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
 // Sub returns p - q componentwise.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // Dist returns the Euclidean distance between p and q.
 func Dist(p, q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
@@ -63,9 +57,6 @@ func (r Rect) W() float64 { return r.X1 - r.X0 }
 // H returns the rectangle's height.
 func (r Rect) H() float64 { return r.Y1 - r.Y0 }
 
-// Area returns the rectangle's area.
-func (r Rect) Area() float64 { return r.W() * r.H() }
-
 // Contains reports whether p lies in the closed rectangle.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.X0 && p.X <= r.X1 && p.Y >= r.Y0 && p.Y <= r.Y1
@@ -77,19 +68,4 @@ func (r Rect) Clamp(p Point) Point {
 		X: math.Min(math.Max(p.X, r.X0), r.X1),
 		Y: math.Min(math.Max(p.Y, r.Y0), r.Y1),
 	}
-}
-
-// Shrink returns the rectangle shrunk by margin on every side. If the margin
-// exceeds half a dimension the result is the degenerate center rectangle.
-func (r Rect) Shrink(margin float64) Rect {
-	out := Rect{r.X0 + margin, r.Y0 + margin, r.X1 - margin, r.Y1 - margin}
-	if out.X0 > out.X1 {
-		c := (r.X0 + r.X1) / 2
-		out.X0, out.X1 = c, c
-	}
-	if out.Y0 > out.Y1 {
-		c := (r.Y0 + r.Y1) / 2
-		out.Y0, out.Y1 = c, c
-	}
-	return out
 }

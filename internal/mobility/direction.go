@@ -38,12 +38,10 @@ func (p DirectionParams) Validate() error {
 // Direction simulates the random-direction model; it implements
 // dyngraph.Dynamic.
 type Direction struct {
+	plane
 	params  DirectionParams
 	r       *rng.RNG
-	pos     []geometry.Point
 	heading []float64
-	cells   *geometry.CellList
-	delta   geomDelta // incremental churn engine (native DeltaBatcher)
 }
 
 // NewDirection builds the simulation with uniform positions and headings
@@ -53,27 +51,23 @@ func NewDirection(params DirectionParams, r *rng.RNG) *Direction {
 		panic(err)
 	}
 	d := &Direction{
+		plane:   plane{pos: make([]geometry.Point, params.N)},
 		params:  params,
 		r:       r,
-		pos:     make([]geometry.Point, params.N),
 		heading: make([]float64, params.N),
 	}
 	for i := range d.pos {
 		d.pos[i] = geometry.Point{X: r.Float64() * params.L, Y: r.Float64() * params.L}
 		d.heading[i] = r.Float64() * 2 * math.Pi
 	}
-	d.cells = geometry.NewCellList(geometry.Square(params.L), params.R, d.pos)
+	d.index(geometry.Square(params.L), params.R)
 	return d
 }
 
-// N implements dyngraph.Dynamic.
-func (d *Direction) N() int { return d.params.N }
-
 // Step implements dyngraph.Dynamic. New positions are staged and committed
-// through the incremental churn engine (see Waypoint.Step); the kinematics
-// and RNG draw order are unchanged from the rebuild-per-step original.
+// through the plane's churn engine (see Waypoint.Step).
 func (d *Direction) Step() {
-	next := d.delta.stage(len(d.pos))
+	next := d.next
 	L := d.params.L
 	for i := range d.pos {
 		if d.r.Bool(d.params.Turn) {
@@ -100,11 +94,8 @@ func (d *Direction) Step() {
 		// clamp as a safety net.
 		next[i] = geometry.Square(L).Clamp(geometry.Point{X: nx, Y: ny})
 	}
-	d.delta.commit(d.pos, d.cells, d.params.R*d.params.R)
+	d.commit()
 }
-
-// Positions returns current positions (shared slice; do not modify).
-func (d *Direction) Positions() []geometry.Point { return d.pos }
 
 // WarmUp advances the simulation steps times.
 func (d *Direction) WarmUp(steps int) {

@@ -1,10 +1,10 @@
 // Package mobility implements the geometric mobility models of Section 4.1:
-// the random waypoint over a square (continuous kinematics plus an exact
-// discretized Markov chain for small grids), the classic random-walk model
-// on a grid, and a random-direction model. It also provides the positional
-// stationary density machinery of Corollary 4: empirical density histograms,
-// the Bettstetter analytic waypoint density, and measurement of the
-// uniformity constants δ and λ.
+// the random waypoint over a square or any convex Region (continuous
+// kinematics plus an exact discretized Markov chain for small grids), the
+// classic random-walk model on a grid, and a random-direction model. It
+// also provides the positional stationary density machinery of
+// Corollary 4: empirical density histograms, the Bettstetter analytic
+// waypoint density, and measurement of the uniformity constants δ and λ.
 package mobility
 
 import (
@@ -72,71 +72,81 @@ const (
 	InitSteadyState
 )
 
-// Waypoint simulates the random waypoint model; it implements
-// dyngraph.Dynamic.
+// Waypoint simulates the random waypoint model over a convex Region (the
+// square [0, L]² for NewWaypoint); it implements dyngraph.Dynamic.
 type Waypoint struct {
+	plane
 	params WaypointParams
+	region Region // replaces params.L
 	r      *rng.RNG
-	pos    []geometry.Point
 	dest   []geometry.Point
 	speed  []float64
 	wait   []int32 // remaining pause steps per node (all zero when Pause == 0)
-	cells  *geometry.CellList
-	delta  geomDelta // incremental churn engine (native DeltaBatcher)
 }
 
-// NewWaypoint builds a waypoint simulation. It panics on invalid parameters
-// (call Validate for error handling).
+// NewWaypoint builds a waypoint simulation over the square [0, L]². It
+// panics on invalid parameters (call Validate for error handling).
 func NewWaypoint(params WaypointParams, init WaypointInit, r *rng.RNG) *Waypoint {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
+	return newWaypoint(params, SquareRegion{L: params.L}, init, r)
+}
+
+// NewRegionWaypoint builds a pause-free waypoint simulation over region
+// with steady-state trip initialization (trips weighted by length,
+// position uniform along the trip, speed ∝ 1/v). It panics on invalid
+// parameters.
+func NewRegionWaypoint(n int, region Region, radius, vmin, vmax float64, r *rng.RNG) *Waypoint {
+	if n < 1 || radius <= 0 || vmin <= 0 || vmax < vmin {
+		panic("mobility: invalid NewRegionWaypoint parameters")
+	}
+	return newWaypoint(WaypointParams{N: n, R: radius, VMin: vmin, VMax: vmax}, region, InitSteadyState, r)
+}
+
+// newWaypoint builds the model over region; params.L is not read.
+func newWaypoint(params WaypointParams, region Region, init WaypointInit, r *rng.RNG) *Waypoint {
 	w := &Waypoint{
+		plane:  plane{pos: make([]geometry.Point, params.N)},
 		params: params,
+		region: region,
 		r:      r,
-		pos:    make([]geometry.Point, params.N),
 		dest:   make([]geometry.Point, params.N),
 		speed:  make([]float64, params.N),
 		wait:   make([]int32, params.N),
 	}
+	bounds := region.Bounds()
+	maxDist := math.Hypot(bounds.W(), bounds.H())
 	for i := range w.pos {
 		switch init {
 		case InitUniform:
-			w.pos[i] = w.uniformPoint()
-			w.dest[i] = w.uniformPoint()
+			w.pos[i] = region.Sample(r)
+			w.dest[i] = region.Sample(r)
 			w.speed[i] = r.Range(params.VMin, params.VMax)
 		case InitSteadyState:
-			w.pos[i], w.dest[i], w.speed[i] = w.steadyStateTrip()
+			w.pos[i], w.dest[i], w.speed[i] = w.steadyStateTrip(maxDist)
 		default:
 			panic("mobility: unknown WaypointInit")
 		}
 	}
-	w.cells = geometry.NewCellList(geometry.Square(params.L), params.R, w.pos)
+	w.index(bounds, params.R)
 	return w
-}
-
-func (w *Waypoint) uniformPoint() geometry.Point {
-	return geometry.Point{
-		X: w.r.Float64() * w.params.L,
-		Y: w.r.Float64() * w.params.L,
-	}
 }
 
 // steadyStateTrip samples (position, destination, speed) from the
 // steady-state law of the waypoint process:
 //
 //   - the trip endpoints (A, B) are chosen with density proportional to
-//     |AB| (longer trips occupy more time), via rejection against the
-//     maximum distance L√2;
+//     |AB| (longer trips occupy more time), via rejection against maxDist,
+//     the diagonal of the region's bounding box;
 //   - the current position is uniform along the segment AB, and the
 //     remaining destination is B;
 //   - the speed has density proportional to 1/v on [VMin, VMax] (slower
 //     trips occupy more time), sampled by inversion.
-func (w *Waypoint) steadyStateTrip() (pos, dest geometry.Point, speed float64) {
-	maxDist := w.params.L * 1.4142135623730951
+func (w *Waypoint) steadyStateTrip(maxDist float64) (pos, dest geometry.Point, speed float64) {
 	var a, b geometry.Point
 	for {
-		a, b = w.uniformPoint(), w.uniformPoint()
+		a, b = w.region.Sample(w.r), w.region.Sample(w.r)
 		d := geometry.Dist(a, b)
 		if d > 0 && w.r.Float64() < d/maxDist {
 			break
@@ -150,18 +160,14 @@ func (w *Waypoint) steadyStateTrip() (pos, dest geometry.Point, speed float64) {
 	return pos, b, speed
 }
 
-// N implements dyngraph.Dynamic.
-func (w *Waypoint) N() int { return w.params.N }
-
 // Step implements dyngraph.Dynamic: every node advances along its trip by
 // its speed; nodes arriving at their destination draw a fresh trip and
 // rest there for Pause steps. The new positions are staged and committed
-// through the incremental churn engine, so cell-list maintenance and the
+// through the plane's churn engine, so cell-list maintenance and the
 // per-step delta batches cost O(moved × local density) instead of a full
-// rebuild — with Pause = 0 the trajectory is draw-for-draw identical to
-// the historical rebuild-per-step implementation.
+// rebuild.
 func (w *Waypoint) Step() {
-	next := w.delta.stage(len(w.pos))
+	next := w.next
 	for i := range w.pos {
 		if w.wait[i] > 0 {
 			w.wait[i]--
@@ -171,12 +177,12 @@ func (w *Waypoint) Step() {
 		np, reached := geometry.StepToward(w.pos[i], w.dest[i], w.speed[i])
 		next[i] = np
 		if reached {
-			w.dest[i] = w.uniformPoint()
+			w.dest[i] = w.region.Sample(w.r)
 			w.speed[i] = w.r.Range(w.params.VMin, w.params.VMax)
 			w.wait[i] = int32(w.params.Pause)
 		}
 	}
-	w.delta.commit(w.pos, w.cells, w.params.R*w.params.R)
+	w.commit()
 }
 
 // WarmUp advances the simulation steps times, used to approach the
@@ -187,7 +193,3 @@ func (w *Waypoint) WarmUp(steps int) {
 		w.Step()
 	}
 }
-
-// Positions returns the current node positions; the slice is shared and
-// must not be modified.
-func (w *Waypoint) Positions() []geometry.Point { return w.pos }

@@ -90,6 +90,12 @@ func TestBuildErrors(t *testing.T) {
 		model.New("edgemeg").With("p", "1e-17").With("stream", "v2"),
 		model.New("edgemeg").With("q", "1e-17").With("stream", "v2"),
 		model.New("edgemeg").With("p", "1e-17").With("dense", "true"),
+		// Non-finite floats: these panicked inside Build, or (vmin) built a
+		// waypoint model whose nodes never move.
+		model.New("walk").WithInt("n", 64).With("r", "nan"),
+		model.New("static").With("topology", "gnp").WithInt("n", 64).With("p", "nan"),
+		model.New("edgemeg4").WithInt("n", 64).With("wake", "nan"),
+		model.New("waypoint").WithInt("n", 64).With("vmin", "nan"),
 	}
 	for _, spec := range cases {
 		if _, err := model.Build(spec, 1); err == nil {

@@ -10,11 +10,11 @@ import (
 )
 
 // HopConnection connects two states when their points are within hop
-// distance r in the mobility graph H. r = 0 degenerates to the same-point
-// PointConnection. This is the general transmission model of Section 4.1
-// for walks on graphs: "The transmission radius r determines the maximal
-// distance (again in terms of number of hops in H(V,A)) within which a
-// message can be successfully transmitted."
+// distance r in the mobility graph H; r = 0 connects states at the same
+// point. This is the general transmission model of Section 4.1 for walks
+// on graphs: "The transmission radius r determines the maximal distance
+// (again in terms of number of hops in H(V,A)) within which a message can
+// be successfully transmitted."
 //
 // Beyond fidelity, hop radius r >= 1 matters on bipartite mobility graphs
 // (grids!): with unit-hop movement and same-point connection, every node's
@@ -91,8 +91,10 @@ func (c *HopConnection) NeighborStates(s int) []int32 {
 	return c.nearStates[c.pointOf[s]]
 }
 
-// NewSimHopRadius builds the node-MEG simulation with the radius-r hop
-// connection, starting from the uniform state distribution.
+// NewSimHopRadius builds the node-MEG simulation of n nodes moving under
+// the model with the radius-r hop connection (r = 0: same point), starting
+// from the uniform distribution over states — the exact stationary law
+// when the family is simple and reversible.
 func (m *Model) NewSimHopRadius(n, r int, rg *rng.RNG) (*nodemeg.Sim, error) {
 	conn, err := m.HopConnection(r)
 	if err != nil {

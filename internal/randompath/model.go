@@ -2,8 +2,9 @@
 // RP = (H, P) of Section 4.1: nodes travel along paths drawn from a fixed
 // feasible family P of simple paths of a mobility graph H, choosing
 // uniformly among the paths leaving their current endpoint; two nodes are
-// connected when they occupy the same point. The random walk over H is the
-// special case where P is the edge set.
+// connected when their points are within hop distance r in H
+// (HopConnection; r = 0 means the same point). The random walk over H is
+// the special case where P is the edge set.
 //
 // The package provides the path-family builders used in the experiments
 // (edge families, L-shaped shortest paths on grids, congested star
@@ -19,8 +20,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/markov"
-	"repro/internal/nodemeg"
-	"repro/internal/rng"
 )
 
 // Path is a sequence of at least two points, consecutive ones adjacent
@@ -218,47 +217,4 @@ func (m *Model) Chain() *markov.Sparse {
 		}
 	}
 	return b.MustBuild()
-}
-
-// Connection returns the same-point connection map over the state space.
-func (m *Model) Connection() *PointConnection {
-	return &PointConnection{pointOf: m.pointOf, byPoint: m.byPoint}
-}
-
-// NewSim builds the node-MEG simulation of n nodes moving under the model,
-// starting from the uniform distribution over states — the exact stationary
-// law when the family is simple and reversible.
-func (m *Model) NewSim(n int, r *rng.RNG) (*nodemeg.Sim, error) {
-	init := make([]float64, m.nstates)
-	for i := range init {
-		init[i] = 1 / float64(m.nstates)
-	}
-	sim, err := nodemeg.NewSim(n, markov.NewSparseSampler(m.Chain()), m.Connection(), init, r)
-	if err != nil {
-		return nil, fmt.Errorf("randompath: building sim: %w", err)
-	}
-	return sim, nil
-}
-
-// PointConnection connects states that map to the same point of H.
-type PointConnection struct {
-	pointOf []int32
-	byPoint [][]int32
-}
-
-var _ nodemeg.ConnectionMap = (*PointConnection)(nil)
-var _ nodemeg.NeighborEnumerator = (*PointConnection)(nil)
-
-// NumStates implements nodemeg.ConnectionMap.
-func (c *PointConnection) NumStates() int { return len(c.pointOf) }
-
-// Connected implements nodemeg.ConnectionMap.
-func (c *PointConnection) Connected(u, v int) bool {
-	return c.pointOf[u] == c.pointOf[v]
-}
-
-// NeighborStates implements nodemeg.NeighborEnumerator: all states at the
-// same point (including the state itself; the simulator skips self-pairs).
-func (c *PointConnection) NeighborStates(s int) []int32 {
-	return c.byPoint[c.pointOf[s]]
 }

@@ -2,6 +2,7 @@ package randompath
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/flood"
@@ -219,7 +220,10 @@ func TestPointConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := m.Connection()
+	conn, err := m.HopConnection(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// States 0 and 2 are both at point 1.
 	if !conn.Connected(0, 2) {
 		t.Fatal("same-point states not connected")
@@ -241,7 +245,7 @@ func TestSimFloodingCompletesOnAugmentedGridWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := m.NewSim(40, rng.New(7))
+	sim, err := m.NewSimHopRadius(40, 0, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +265,7 @@ func TestParityObstructionOnBipartiteWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := m.NewSim(24, rng.New(11))
+	sim, err := m.NewSimHopRadius(24, 0, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,12 +346,21 @@ func TestHopConnectionRadiusZeroMatchesPointConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := m.Connection()
+	// At r = 0 both the predicate and the enumeration are the same-point
+	// rule, and NeighborStates lists a point's states in ascending order.
 	for u := 0; u < m.NumStates(); u++ {
+		var want []int32
 		for v := 0; v < m.NumStates(); v++ {
-			if hop.Connected(u, v) != pt.Connected(u, v) {
-				t.Fatalf("r=0 hop connection differs at (%d,%d)", u, v)
+			same := m.PointOfState(u) == m.PointOfState(v)
+			if hop.Connected(u, v) != same {
+				t.Fatalf("r=0 hop connection differs from same point at (%d,%d)", u, v)
 			}
+			if same {
+				want = append(want, int32(v))
+			}
+		}
+		if got := hop.NeighborStates(u); !slices.Equal(got, want) {
+			t.Fatalf("r=0 NeighborStates(%d) = %v, want %v", u, got, want)
 		}
 	}
 	if _, err := m.HopConnection(-1); err == nil {
@@ -399,7 +412,7 @@ func BenchmarkLPathSimStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim, err := m.NewSim(500, rng.New(1))
+	sim, err := m.NewSimHopRadius(500, 0, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -206,13 +207,19 @@ func parseValue(kind Kind, text string) (value, error) {
 	case Int:
 		i, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return value{}, fmt.Errorf("want an integer, got %q", text)
+			// A JSON number reaches a spec as %g text ("1e+06" for 10⁶),
+			// so any text that is exactly an integer is one.
+			f, ferr := strconv.ParseFloat(text, 64)
+			if ferr != nil || f != math.Trunc(f) || math.Abs(f) >= 1<<63 {
+				return value{}, fmt.Errorf("want an integer, got %q", text)
+			}
+			i = int64(f)
 		}
 		return value{kind: Int, i: i}, nil
 	case Float:
 		f, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return value{}, fmt.Errorf("want a number, got %q", text)
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			return value{}, fmt.Errorf("want a finite number, got %q", text)
 		}
 		return value{kind: Float, f: f}, nil
 	case Bool:

@@ -260,9 +260,9 @@ type SweepOpts struct {
 	Stop <-chan struct{}
 	// Telemetry, when non-nil, receives sweep progress counters
 	// (sweep_cells_total, sweep_cells_resumed_total, sweep_trials_total,
-	// sweep_steps_total, sweep_wall_ms_total, plus the message-cost
-	// throughput counters messages_total/useless_total) and a
-	// scratch_bytes gauge
+	// sweep_steps_total over completed trials, sweep_wall_ms_total, plus
+	// the message-cost throughput counters messages_total/useless_total)
+	// and a scratch_bytes gauge
 	// tracking the largest per-worker engine footprint seen so far. All
 	// updates happen between cells — never inside the spreading hot path —
 	// and each freshly completed cell triggers one extra sample so short
@@ -357,7 +357,9 @@ func RunSweepOpts(sw Sweep, opts SweepOpts) ([]CellRecord, error) {
 				// cells, never inside the spreading hot path.
 				var steps, msgs, useless int64
 				for _, r := range cell.Results {
-					steps += int64(r.Time)
+					if r.Completed { // a cut-off trial's Time is -1
+						steps += int64(r.Time)
+					}
 					msgs += r.Messages
 					useless += r.Useless
 				}

@@ -67,6 +67,22 @@ func TestParseSweepStringsAndObjects(t *testing.T) {
 	if !reflect.DeepEqual(sw, sw2) {
 		t.Fatalf("sweep does not round-trip:\n%+v\nvs\n%+v", sw, sw2)
 	}
+	// A JSON number reaches the spec as %g text, so n = 10⁶ arrives as
+	// "1e+06": it parses as an integer, and the cell key keeps the text.
+	big, err := study.ParseSweep([]byte(`{"models": [{"name": "edgemeg", "params": {"n": 1000000}}], "protocols": ["flood"], "trials": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := big.Keys()[0].Model; got != "edgemeg:n=1e+06" {
+		t.Fatalf("big-n key model = %q, want %q", got, "edgemeg:n=1e+06")
+	}
+	_, args, err := model.Resolve(big.Models[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := args.Int("n"); n != 1000000 {
+		t.Fatalf("big-n spec resolves to n = %d, want 1000000", n)
+	}
 }
 
 func TestParseSweepRejectsBadInput(t *testing.T) {
@@ -80,6 +96,10 @@ func TestParseSweepRejectsBadInput(t *testing.T) {
 		`{"models": [42], "protocols": ["flood"], "trials": 3}`,
 		`{"models": ["edgemeg:n=64", {"name": "edgemeg", "params": {"n": 64}}], "protocols": ["flood"], "trials": 3}`,
 		`{"models": ["edgemeg"], "protocols": ["flood", "flood"], "trials": 3}`,
+		// A non-finite float never reaches Build (waypoint's steady-state
+		// sampler would spin forever on L = nan or inf).
+		`{"models": ["waypoint:n=64,L=nan"], "protocols": ["flood"], "trials": 3}`,
+		`{"models": ["waypoint:n=64,L=inf"], "protocols": ["flood"], "trials": 3}`,
 	}
 	for _, data := range bad {
 		if _, err := study.ParseSweep([]byte(data)); err == nil {
@@ -489,6 +509,12 @@ func (c *captureSink) Append(s telemetry.Sample) error {
 // positive scratch footprint, and one per-cell sample from SampleNow.
 func TestRunSweepTelemetry(t *testing.T) {
 	sw := baseSweep()
+	// Walkers on a bipartite grid that meet only at the same point keep
+	// their parity classes apart, so every trial of this cell is cut off
+	// at MaxSteps while the graph still churns. The base cells finish far
+	// below the lower cap.
+	sw.Models = append(sw.Models, model.New("paths").WithInt("n", 24).WithInt("m", 4).With("family", "edges").WithInt("hop", 0))
+	sw.MaxSteps = 1 << 10
 	col := telemetry.New(telemetry.Options{NoRuntime: true})
 	sink := &captureSink{}
 	col.Start(sink)
@@ -522,11 +548,19 @@ func TestRunSweepTelemetry(t *testing.T) {
 	if got := s.Values["sweep_trials_total"]; got != (total-resumed)*int64(sw.Trials) {
 		t.Fatalf("sweep_trials_total = %d, want %d", got, (total-resumed)*int64(sw.Trials))
 	}
-	var wantSteps int64
+	// Steps count completed trials only; a cut-off trial's Time is -1.
+	var wantSteps, cutOff int64
 	for _, rec := range records[len(half):] {
 		for _, steps := range rec.Times {
+			if steps < 0 {
+				cutOff++
+				continue
+			}
 			wantSteps += int64(steps)
 		}
+	}
+	if cutOff == 0 {
+		t.Fatal("the sweep has no cut-off trial")
 	}
 	if got := s.Values["sweep_steps_total"]; got != wantSteps {
 		t.Fatalf("sweep_steps_total = %d, want %d", got, wantSteps)
