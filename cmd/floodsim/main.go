@@ -65,6 +65,9 @@ func main() {
 		fatal(err)
 	}
 	n := d.N()
+	if *source < 0 || *source >= n {
+		fatal(fmt.Errorf("source %d out of range for n = %d", *source, n))
+	}
 
 	res := p.Run(d, *source, flood.Opts{MaxSteps: *maxSteps, KeepTimeline: true})
 

@@ -117,6 +117,9 @@ func doFlood(path string, source int) error {
 	if err != nil {
 		return err
 	}
+	if source < 0 || source >= tr.N() {
+		return fmt.Errorf("source %d out of range for n = %d", source, tr.N())
+	}
 	res := flood.Run(tr.Replay(), source, flood.Opts{MaxSteps: tr.Len() + 1, KeepTimeline: true})
 	if !res.Completed {
 		fmt.Printf("flooding did not complete within the trace (%d snapshots); informed %d/%d\n",

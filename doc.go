@@ -39,7 +39,11 @@
 // each current neighbor once, which is a uniform neighbor whatever the
 // order: the law is the paper's, and only which neighbor a given
 // fixed-seed draw names depends on the store. Exact-law χ² tests on the
-// n = 4 edge-MEG (internal/flood/law_test.go) gate those engines.
+// n = 4 edge-MEG (internal/flood/law_test.go) gate those engines. Apply
+// removes a death batch of fewer than n arcs edge by edge and a larger
+// one node by node, and both paths leave every list in the same order;
+// digests of those engines' fixed-seed runs on both sides of the switch
+// (internal/protocol/order_test.go) pin it.
 //
 // The §5 reduction of randomized push to flooding on a graph subsampled
 // afresh each step is a per-step sampler over the same store:

@@ -43,10 +43,20 @@ type MoveReporter interface {
 // Adjacency is the persistent neighbor store every engine reads: the only
 // place a consumer looks up a node's current neighbors. It holds per-node
 // neighbor lists over a fixed universe, built once from a snapshot batch
-// and then updated in place from delta batches — O(degree) per changed
-// edge, so a step costs O(churn) instead of an O(m) rebuild. Reset reuses
-// all backing arrays, which is what lets flood.Scratch amortize the store
-// across the trials of a sweep.
+// and then updated in place from delta batches, so a step costs O(churn)
+// instead of an O(m) rebuild. A birth appends to two lists in O(1). Apply
+// removes a death batch one of two ways, switched by the batch size alone:
+//
+//   - A sparse batch, fewer than n arcs (2·len(died) < n), goes edge by
+//     edge: RemoveEdge scans both endpoints' lists, O(degree) per died
+//     edge.
+//   - A dense batch, at least n arcs, goes node by node: a stable counting
+//     sort buckets its arcs by endpoint, each touched list is indexed once,
+//     and each removal is an O(1) swap with the last entry. The sort's
+//     O(n) pass costs no more than the batch itself.
+//
+// Reset reuses all backing arrays, which is what lets flood.Scratch
+// amortize the store across the trials of a sweep.
 //
 // The store is a CSR-style arena: every node's list lives in one shared
 // []int32 backing array, addressed by a 12-byte {offset, length,
@@ -61,13 +71,16 @@ type MoveReporter interface {
 //
 // Neighbor order within a list is unspecified (removals swap with the
 // last entry) but deterministic: it is a function of the seeding batch and
-// the delta stream. Engines whose random draws index into a list (pull,
-// push–pull, k-push, random walks) therefore still sample exactly the law
-// they claim — a uniform index into a list holding each current neighbor
-// once is a uniform neighbor, whatever the order — and replay exactly per
-// seed. Only which neighbor a given draw names depends on the order, so
-// the fixed-seed trajectories are pinned to this store, and the exact-law
-// tests, not byte pins, check that the process is the paper's.
+// the delta stream. Both removal paths leave the same order, that of
+// RemoveEdge per died edge in batch order. Engines whose random draws
+// index into a list (pull, push–pull, k-push, random walks) therefore
+// still sample exactly the law they claim — a uniform index into a list
+// holding each current neighbor once is a uniform neighbor, whatever the
+// order — and replay exactly per seed. Only which neighbor a given draw
+// names depends on the order, so the fixed-seed trajectories are pinned to
+// this store (TestListOrderTrajectoriesPinned in internal/protocol), and
+// the exact-law tests, not byte pins, check that the process is the
+// paper's.
 type Adjacency struct {
 	segs  []segment
 	arena []int32
@@ -75,6 +88,11 @@ type Adjacency struct {
 	holes int     // arena slots abandoned by relocated segments
 	n     int
 	idx   []int // Sample's index buffer
+
+	// Apply's node-by-node removal scratch, kept across Reset.
+	off  []int32 // bucket bounds per node, n+1
+	arcs []int32 // a dense batch's arcs bucketed by endpoint, 2·len(died)
+	pos  []int32 // neighbor → index in the list being emptied, n
 }
 
 // segment is one node's list header: arena[off:off+len] is the list,
@@ -110,10 +128,12 @@ func (a *Adjacency) Reset(n int) {
 func (a *Adjacency) N() int { return a.n }
 
 // Bytes returns the heap bytes retained by the store: the segment
-// headers, both arena buffers and the sampling buffer. Unlike the per-node-slice store this
-// replaces, the accounting is O(1) — three capacities, no walk.
+// headers, both arena buffers, the sampling buffer and Apply's removal
+// scratch. Unlike the per-node-slice store this replaces, the accounting
+// is O(1) — a few capacities, no walk.
 func (a *Adjacency) Bytes() int64 {
-	return int64(cap(a.segs))*12 + int64(cap(a.arena))*4 + int64(cap(a.spare))*4 + int64(cap(a.idx))*8
+	return int64(cap(a.segs))*12 + int64(cap(a.arena)+cap(a.spare))*4 + int64(cap(a.idx))*8 +
+		int64(cap(a.off)+cap(a.arcs)+cap(a.pos))*4
 }
 
 // Degree returns the current degree of node i.
@@ -251,13 +271,72 @@ func (a *Adjacency) AddEdges(edges []Edge) {
 
 // Apply updates the store by one step of churn: every died edge is removed
 // and every born edge inserted. Batches must be consistent with the stored
-// graph (deltas from the model whose snapshot seeded the store).
+// graph (deltas from the model whose snapshot seeded the store); a died
+// edge that is absent, or repeated in the batch, panics on either removal
+// path. The lists end exactly as RemoveEdge per died edge, then AddEdge
+// per born edge, in batch order would leave them.
 func (a *Adjacency) Apply(born, died []Edge) {
-	for _, e := range died {
-		a.RemoveEdge(e.U, e.V)
+	if 2*len(died) >= a.n {
+		a.removeByNode(died)
+	} else {
+		for _, e := range died {
+			a.RemoveEdge(e.U, e.V)
+		}
 	}
 	for _, e := range born {
 		a.AddEdge(e.U, e.V)
+	}
+}
+
+// removeByNode removes a dense death batch node by node. A stable counting
+// sort buckets the batch's arcs by endpoint, so each node's removals keep
+// their batch order; each touched list is indexed once into pos, and each
+// removal is an O(1) swap with the last entry that re-indexes the moved
+// entry. Since a removal touches only its own list, every list ends as the
+// per-edge loop leaves it.
+func (a *Adjacency) removeByNode(died []Edge) {
+	n := a.n
+	a.off = slices.Grow(a.off[:0], n+1)[:n+1]
+	a.arcs = slices.Grow(a.arcs[:0], 2*len(died))[:2*len(died)]
+	a.pos = slices.Grow(a.pos[:0], n)[:n]
+	off, arcs, pos := a.off, a.arcs, a.pos
+	clear(off)
+	for _, e := range died {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for u := 1; u <= n; u++ {
+		off[u] += off[u-1]
+	}
+	// off[u] is the first slot of u's bucket; filling advances it to the
+	// first slot of u+1's.
+	for _, e := range died {
+		arcs[off[e.U]] = e.V
+		off[e.U]++
+		arcs[off[e.V]] = e.U
+		off[e.V]++
+	}
+	lo := int32(0)
+	for u, hi := range off[:n] {
+		if lo == hi {
+			continue
+		}
+		s := &a.segs[u]
+		l := a.arena[s.off : s.off+s.len]
+		for i, w := range l {
+			pos[w] = int32(i)
+		}
+		for _, v := range arcs[lo:hi] {
+			i := pos[v]
+			if i >= s.len || l[i] != v {
+				panic("dyngraph: Adjacency.RemoveEdge of an absent edge")
+			}
+			s.len--
+			last := l[s.len]
+			l[i] = last
+			pos[last] = i
+		}
+		lo = hi
 	}
 }
 

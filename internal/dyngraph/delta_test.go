@@ -3,6 +3,7 @@ package dyngraph
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -165,4 +166,35 @@ func TestAdjacencyBasics(t *testing.T) {
 		}
 	}()
 	a.RemoveEdge(0, 1)
+}
+
+// TestAdjacencyApplyPanicsOnInconsistentDeaths: a died edge that is absent
+// from the store, or repeated in its batch, panics on both of Apply's
+// removal paths — per edge when the batch holds fewer than n arcs, node by
+// node otherwise.
+func TestAdjacencyApplyPanicsOnInconsistentDeaths(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		died []Edge
+	}{
+		{"absent/per-edge", 16, []Edge{{0, 1}, {0, 2}}},
+		{"absent/node-by-node", 4, []Edge{{0, 1}, {0, 2}}},
+		{"absent/node-by-node/longer list", 4, []Edge{{1, 3}, {2, 3}}},
+		{"repeated/per-edge", 16, []Edge{{1, 2}, {1, 2}}},
+		{"repeated/node-by-node", 4, []Edge{{1, 2}, {1, 2}}},
+	}
+	for _, c := range cases {
+		var a Adjacency
+		a.Reset(c.n)
+		a.AddEdges([]Edge{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "RemoveEdge of an absent edge") {
+					t.Errorf("%s: recovered %q, want the absent-edge panic", c.name, msg)
+				}
+			}()
+			a.Apply(nil, c.died)
+		}()
+	}
 }

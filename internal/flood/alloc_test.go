@@ -2,10 +2,13 @@ package flood
 
 // Allocation-regression pins of the scratch refactor: once a run has
 // warmed its Scratch, the engine hot loops must not touch the heap at all.
-// Every engine is pinned twice: on a static torus (Step is a no-op and the
-// snapshot is seeded into caller buffers, so any allocation belongs to the
-// engine itself) and on a churning edge-MEG that keeps stepping across
-// runs, so the tracked adjacency absorbs real deltas on the measured path.
+// Every engine is pinned three times: on a static torus (Step is a no-op
+// and the snapshot is seeded into caller buffers, so any allocation belongs
+// to the engine itself) and on two churning edge-MEGs that keep stepping
+// across runs, so the tracked adjacency absorbs real deltas on the measured
+// path. The slow one's ~35 died arcs a step stay under n and take
+// Adjacency.Apply's per-edge removals; the fast one's ~350 take its
+// node-by-node removals and their scratch buffers.
 
 import (
 	"testing"
@@ -16,19 +19,20 @@ import (
 	"repro/internal/rng"
 )
 
-// assertZeroAlloc warms the scratch, then measures warm runs on both
-// graphs. The static torus is warmed by one run; the edge-MEG evolves
-// between runs, so it is warmed by many, driving the adjacency and the
+// assertZeroAlloc warms the scratch, then measures warm runs on every
+// graph. The static torus is warmed by one run; the edge-MEGs evolve
+// between runs, so they are warmed by many, driving the adjacency and the
 // model's churn buffers to their high-water sizes.
 func assertZeroAlloc(t *testing.T, name string, run func(d dyngraph.Dynamic)) {
 	t.Helper()
 	torus := dyngraph.NewStatic(graph.Torus(12, 12))
 	meg := edgemeg.NewSparse(edgemeg.Params{N: 96, P: 0.004, Q: 0.1}, edgemeg.InitStationary, rng.New(17))
+	fast := edgemeg.NewSparse(edgemeg.Params{N: 96, P: 0.04, Q: 0.96}, edgemeg.InitStationary, rng.New(18))
 	for _, c := range []struct {
 		graph string
 		d     dyngraph.Dynamic
 		warm  int
-	}{{"static torus", torus, 1}, {"edge-MEG", meg, 60}} {
+	}{{"static torus", torus, 1}, {"edge-MEG", meg, 60}, {"fast-churn edge-MEG", fast, 60}} {
 		for i := 0; i < c.warm; i++ {
 			run(c.d)
 		}
