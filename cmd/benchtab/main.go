@@ -11,6 +11,7 @@
 //	benchtab -exp E4    # a single experiment
 //	benchtab -list      # list experiment IDs and claims
 //	benchtab -seed 7    # change the master seed
+//	benchtab -quick -cpuprofile cpu.prof -memprofile mem.prof  # profile a run
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"os"
 
 	"repro/internal/bench"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -27,6 +29,8 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	seed := flag.Uint64("seed", 1, "master seed (tables are deterministic per seed)")
 	workers := flag.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the run")
 	flag.Parse()
 
 	if *list {
@@ -36,12 +40,19 @@ func main() {
 		return
 	}
 
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtab:", err)
+		os.Exit(1)
+	}
 	cfg := bench.Config{Quick: *quick, Seed: *seed, Workers: *workers}
-	var err error
 	if *exp != "" {
 		err = bench.RunOne(*exp, cfg, os.Stdout)
 	} else {
 		err = bench.RunAll(cfg, os.Stdout)
+	}
+	if perr := stopProfiles(); err == nil {
+		err = perr
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)

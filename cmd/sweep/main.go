@@ -34,6 +34,14 @@
 //	sweep -server http://host:8377 -telemetry ./tel # worker capture: ./tel/worker-<name>.ftdc.jsonl
 //	sweep -telemetry-report ./tel                   # summarize every capture in the directory
 //
+// Profiles (any mode):
+//
+//	sweep -file grid.json -cpuprofile cpu.prof -memprofile mem.prof
+//
+// -cpuprofile profiles the whole run; -memprofile writes a heap profile
+// once it ends, also after a graceful interrupt. Inspect either with
+// `go tool pprof`.
+//
 // -telemetry enables the internal/telemetry collector: one delta-encoded
 // sample per second (plus one per completed cell) of throughput counters,
 // scratch footprint, and runtime GC/heap stats, written to a size-capped
@@ -78,6 +86,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/model"
 	_ "repro/internal/model/all"
+	"repro/internal/profile"
 	"repro/internal/protocol"
 	"repro/internal/spec"
 	"repro/internal/study"
@@ -108,7 +117,19 @@ func main() {
 	hold := flag.Duration("hold", 0, "with -server: fault-injection pause between leasing a cell and running it (testing lease expiry)")
 	telemetryDir := flag.String("telemetry", "", "directory for FTDC-style metrics captures (*.ftdc.jsonl): one sample per second plus one per completed cell")
 	telemetryReport := flag.String("telemetry-report", "", "capture file or directory: print per-metric summaries and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the run")
 	flag.Parse()
+
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if *listModels {
 		fmt.Print(model.Usage())
@@ -152,7 +173,11 @@ func main() {
 			records = append(records, rec)
 		}
 	} else {
-		records = run(*file, *models, *protocols, *trials, *seed, *source, *maxSteps, *workers, *checkpoint, *fresh, *telemetryDir)
+		var stopped bool
+		records, stopped = run(*file, *models, *protocols, *trials, *seed, *source, *maxSteps, *workers, *checkpoint, *fresh, *telemetryDir)
+		if stopped {
+			return
+		}
 	}
 
 	rows := study.Report(records)
@@ -225,8 +250,9 @@ func stopOnSignal() <-chan struct{} {
 }
 
 // run assembles the sweep from the file and flag overrides, wires the
-// checkpoint and telemetry, and executes the missing cells.
-func run(file, models, protocols string, trials int, seed uint64, source, maxSteps, workers int, checkpoint string, fresh bool, telemetryDir string) []study.CellRecord {
+// checkpoint and telemetry, and executes the missing cells. It reports
+// stopped after a graceful interrupt, when no report should be written.
+func run(file, models, protocols string, trials int, seed uint64, source, maxSteps, workers int, checkpoint string, fresh bool, telemetryDir string) (records []study.CellRecord, stopped bool) {
 	sw := assembleSweep(file, models, protocols, trials, seed, source, maxSteps, workers)
 
 	col, flushTelemetry := startTelemetry(telemetryDir, "sweep")
@@ -292,17 +318,16 @@ func run(file, models, protocols string, trials int, seed uint64, source, maxSte
 		// Graceful interruption: the checkpoint holds every finished cell
 		// (fsync'd per cell), so the same command resumes where this run
 		// stopped. Partial reports would be misleading; skip them.
-		flushTelemetry() // os.Exit skips the defer; capture the final sample
 		fmt.Fprintf(os.Stderr, "sweep: interrupted after %d/%d cells; checkpoint intact — rerun the same command to resume\n",
 			len(records), len(keys))
-		os.Exit(0)
+		return records, true
 	}
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %d cells done (%d run, %d resumed) in %.1fs\n",
 		len(records), len(records)-resumed, resumed, time.Since(start).Seconds())
-	return records
+	return records, false
 }
 
 // farm is the -server entry point: submit a campaign, or loop as a leased

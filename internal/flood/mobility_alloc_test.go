@@ -57,7 +57,7 @@ func TestChurnTotalsCountMovedNodes(t *testing.T) {
 }
 
 // TestMobilityDeltaFloodZeroAlloc pins the full mobility delta pipeline —
-// incremental cell-list maintenance, native AppendDeltas, adjacency apply,
+// cell-list Update, native AppendDeltas, adjacency apply,
 // active-set scan — at 0 allocs per warm run.
 func TestMobilityDeltaFloodZeroAlloc(t *testing.T) {
 	ms := model.New("waypoint").WithInt("n", 64).WithFloat("L", 12).WithFloat("r", 1.5).
@@ -77,10 +77,11 @@ func TestMobilityDeltaFloodZeroAlloc(t *testing.T) {
 }
 
 // TestWaypoint64kStepZeroAlloc pins the warm waypoint step at n = 65536,
-// where cell-list slack and buffer high-water marks differ from the
-// 64-node pins: a pause-heavy model (fast trips, long rests, about a
-// quarter of the nodes moving per step) must step without allocating once
-// 256 steps have reached its steady mover mix.
+// where the buffer high-water marks (moved nodes, churn batches, the cell
+// list's op buckets) differ from the 64-node pins: a pause-heavy model
+// (fast trips, long rests, about a quarter of the nodes moving per step)
+// must step without allocating once 256 steps have reached its steady
+// mover mix.
 func TestWaypoint64kStepZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64k-node waypoint pin skipped under -short")

@@ -100,37 +100,70 @@ func TestRect(t *testing.T) {
 	}
 }
 
+// TestCellListMatchesBruteForce checks every point's neighbor set against
+// a brute-force scan, on a grid whose cell side is the query radius and on
+// grids where the cell budget binds: a square, and a thin strip whose
+// cells widen along its length.
 func TestCellListMatchesBruteForce(t *testing.T) {
 	r := rng.New(7)
-	rect := Square(100)
-	const n = 300
-	const radius = 8.0
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{r.Float64() * 100, r.Float64() * 100}
+	cases := []struct {
+		name   string
+		rect   Rect
+		radius float64
+		spread float64 // points are uniform over the rect's first spread×spread
+		widen  bool    // the grid at side radius exceeds the cell budget
+	}{
+		{"side r", Square(100), 8, 100, false},
+		// Clustered points, so that the sparse grids still report
+		// neighbors.
+		{"budget square", Square(1000), 0.5, 40, true},
+		{"budget strip", Rect{X0: 0, Y0: 0, X1: 1e5, Y1: 3}, 0.5, 40, true},
 	}
-	cl := NewCellList(rect, radius, pts)
-	for i := 0; i < n; i++ {
-		got := map[int32]bool{}
-		for _, j := range cl.AppendWithin(i, nil) {
-			if got[j] {
-				t.Fatalf("point %d: neighbor %d reported twice", i, j)
-			}
-			got[j] = true
+	const n = 300
+	for _, tc := range cases {
+		pts := make([]Point, n)
+		for i := range pts {
+			w, h := min(tc.rect.W(), tc.spread), min(tc.rect.H(), tc.spread)
+			pts[i] = Point{tc.rect.X0 + r.Float64()*w, tc.rect.Y0 + r.Float64()*h}
 		}
-		want := map[int32]bool{}
-		for j := 0; j < n; j++ {
-			if j != i && Dist(pts[i], pts[j]) <= radius {
-				want[int32(j)] = true
-			}
+		cl := NewCellList(tc.rect, tc.radius, pts)
+		budget := max(4*n, minCellBudget)
+		if cells := cl.cols * cl.rows; cells > budget {
+			t.Fatalf("%s: %d×%d grid exceeds the %d-cell budget", tc.name, cl.cols, cl.rows, budget)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("point %d: got %d neighbors, want %d", i, len(got), len(want))
+		if widened := cl.side > tc.radius; widened != tc.widen || cl.side < tc.radius {
+			t.Fatalf("%s: cell side %g for radius %g, want widened=%v", tc.name, cl.side, tc.radius, tc.widen)
 		}
-		for j := range want {
-			if !got[j] {
-				t.Fatalf("point %d: missing neighbor %d", i, j)
+		pairs := 0
+		for i := 0; i < n; i++ {
+			got := map[int32]bool{}
+			for _, j := range cl.AppendWithin(i, nil) {
+				if got[j] {
+					t.Fatalf("%s: point %d: neighbor %d reported twice", tc.name, i, j)
+				}
+				got[j] = true
 			}
+			want := map[int32]bool{}
+			for j := 0; j < n; j++ {
+				if j != i && Dist(pts[i], pts[j]) <= tc.radius {
+					want[int32(j)] = true
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: point %d: got %d neighbors, want %d", tc.name, i, len(got), len(want))
+			}
+			for j := range want {
+				if !got[j] {
+					t.Fatalf("%s: point %d: missing neighbor %d", tc.name, i, j)
+				}
+			}
+			pairs += len(want)
+		}
+		if pairs == 0 {
+			t.Fatalf("%s: no point has a neighbor; the check is vacuous", tc.name)
+		}
+		if got := len(cl.AppendPairsWithin(nil)); 2*got != pairs {
+			t.Fatalf("%s: %d pairs enumerated, brute force finds %d", tc.name, got, pairs/2)
 		}
 	}
 }
@@ -210,13 +243,11 @@ func BenchmarkCellListRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkCellListQuery times one AppendWithin over the 64k shape, in
+// index order, as a waypoint step queries its moved nodes.
 func BenchmarkCellListQuery(b *testing.B) {
-	r := rng.New(1)
-	pts := make([]Point, 10000)
-	for i := range pts {
-		pts[i] = Point{r.Float64() * 100, r.Float64() * 100}
-	}
-	cl := NewCellList(Square(100), 2, pts)
+	pts := waypoint64k(rng.New(1))
+	cl := NewCellList(Square(256), 1, pts)
 	var nbrs []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,7 @@
 package mobility
 
 // Allocation-regression pins of the incremental mobility work: once a
-// model's persistent buffers (cell-list member lists, churn batches,
+// model's persistent buffers (cell-list op buckets, churn batches,
 // query scratch, pair scratch) have reached their high-water sizes, warm
 // steps — including the native delta stream and the batch snapshot view —
 // must not touch the heap. Mirrors the engine-side discipline of

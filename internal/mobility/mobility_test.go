@@ -7,6 +7,7 @@ import (
 	"repro/internal/dyngraph"
 	"repro/internal/flood"
 	"repro/internal/geometry"
+	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -526,6 +527,34 @@ func TestWaypointFloodingCompletes(t *testing.T) {
 	}
 	if !flood.GrowthIsMonotone(res.Timeline) {
 		t.Fatal("timeline not monotone")
+	}
+}
+
+// TestOversizedGridSpecsBuild builds specs whose radius is tiny against
+// the square: at cell side r their grids would hold 10¹⁰, 10³⁶ and 10²⁴
+// cells, more than memory or a slice length can take, so the cell list
+// must widen its cells. Each must build through the registry, step and
+// flood.
+func TestOversizedGridSpecsBuild(t *testing.T) {
+	for _, text := range []string{
+		"waypoint:n=10,L=100000,r=1",
+		"waypoint:n=10,L=1e12,r=1e-6",
+		"direction:n=10,L=1e9,r=0.001",
+	} {
+		s, err := model.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := model.Build(s, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		for i := 0; i < 16; i++ {
+			d.Step()
+		}
+		if res := flood.Run(d, 0, flood.Opts{MaxSteps: 64}); res.Informed < 1 || res.Informed > d.N() {
+			t.Fatalf("%s: flood informed %d of %d", text, res.Informed, d.N())
+		}
 	}
 }
 

@@ -20,8 +20,12 @@ import (
 //  2. pass A, against the still-old cell list: for every moved i, each old
 //     neighbor j (old distance ≤ R) whose new distance exceeds R is a died
 //     edge;
-//  3. the moves are applied — pos, prev, and the cell list's incremental
-//     Move — touching O(moved) index state;
+//  3. the moves are applied: pos and prev, then one cell-list Update,
+//     which rewrites in-cell moves in place and, once any node crosses a
+//     cell border, re-lays the cell-major index in one O(n + cells) pass
+//     that keeps the member order a node-by-node move would leave (staging
+//     and the moved scan already visit all n nodes, so the pass adds no
+//     order to the step);
 //  4. pass B, against the updated cell list: for every moved i, each new
 //     neighbor j (new distance ≤ R) whose old distance exceeded R is a
 //     born edge.
@@ -84,12 +88,12 @@ func (p *plane) commit() {
 			}
 		}
 	}
-	// Apply: positions and incremental cell maintenance, O(moved).
+	// Apply: positions, then the cell list in one order-preserving pass.
 	for _, i := range p.moved {
 		prev[i] = pos[i]
 		pos[i] = next[i]
-		cells.Move(int(i), next[i])
 	}
+	cells.Update(p.moved, next)
 	// Pass B (born): new neighbors of each moved node, new configuration.
 	// For an unmoved candidate j the old position is pos[j] (unchanged);
 	// for a moved one it is prev[j].

@@ -27,9 +27,8 @@ type WaypointParams struct {
 	VMax float64 // maximum speed
 	// Pause is the number of steps a node rests at each destination before
 	// starting its next trip (the classic waypoint "pause time"). Pause-heavy
-	// workloads move only a small fraction of nodes per step, which the
-	// incremental cell list and native delta stream turn into O(moved)
-	// dynamics. Pause = 0 reproduces the pause-free process exactly, draw
+	// workloads move only a small fraction of nodes per step, and the
+	// native delta stream scans only the moved nodes' neighborhoods. Pause = 0 reproduces the pause-free process exactly, draw
 	// for draw.
 	Pause int
 }
@@ -163,9 +162,8 @@ func (w *Waypoint) steadyStateTrip(maxDist float64) (pos, dest geometry.Point, s
 // Step implements dyngraph.Dynamic: every node advances along its trip by
 // its speed; nodes arriving at their destination draw a fresh trip and
 // rest there for Pause steps. The new positions are staged and committed
-// through the plane's churn engine, so cell-list maintenance and the
-// per-step delta batches cost O(moved × local density) instead of a full
-// rebuild.
+// through the plane's churn engine, so the per-step delta batches cost
+// O(moved × local density) instead of a snapshot diff.
 func (w *Waypoint) Step() {
 	next := w.next
 	for i := range w.pos {
